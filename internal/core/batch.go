@@ -37,10 +37,6 @@ func laneExtract(w uint64, lane, n int) uint64 {
 	return (w >> uint(lane*n)) & PlaneMask(n)
 }
 
-// LaneView extracts one lane of a lane-packed plane word as a per-run mask
-// (bit j-1 = node j), the inverse of placing a run at lane `lane`.
-func LaneView(w uint64, lane, n int) uint64 { return laneExtract(w, lane, n) }
-
 // BatchRoundInput carries one round's controller observations for every lane
 // of a gang, in lane-packed plane form. It is the G-run generalisation of
 // PackedRoundInput: bit r·N + (j-1) of a plane is lane r's bit for node j.

@@ -111,8 +111,10 @@ func resilienceRunsWide(n, a, s, b int, p Params, src *rng.Source) (int, error) 
 // wideBatchWorker is the reusable per-worker state of a batched wide
 // campaign: one lane-packed cluster plus one stream pool.
 type wideBatchWorker struct {
-	cl  *sim.BatchDiagCluster
-	rng *rng.Pool
+	cl       *sim.BatchDiagCluster
+	rng      *rng.Pool
+	from, to []int
+	errs     []error
 }
 
 // resilienceRunsWideBatched is the lane-packed twin of the per-run path
@@ -126,7 +128,11 @@ func resilienceRunsWideBatched(scope string, n, s, b int, p Params, src *rng.Sou
 			if err != nil {
 				return nil, err
 			}
-			return &wideBatchWorker{cl: cl, rng: src.NewPool()}, nil
+			lanes := cl.MaxLanes()
+			return &wideBatchWorker{
+				cl: cl, rng: src.NewPool(),
+				from: make([]int, lanes), to: make([]int, lanes), errs: make([]error, lanes),
+			}, nil
 		},
 		func(w *wideBatchWorker, base, width int, out []bool) error {
 			if err := w.cl.ResetBatch(width); err != nil {
@@ -139,13 +145,14 @@ func resilienceRunsWideBatched(scope string, n, s, b int, p Params, src *rng.Sou
 					w.cl.AddLaneDisturbance(lane, d)
 				}
 				w.cl.SetLaneHorizon(lane, wideFaultRound+10)
+				w.from[lane], w.to[lane] = 4, wideFaultRound+6
 			}
 			if err := w.cl.Run(); err != nil {
 				return err
 			}
+			failed := w.cl.AuditGang(obedient, w.from, w.to, w.errs)
 			for lane := 0; lane < width; lane++ {
-				out[lane] = sim.AuditTheorem1(w.cl.LaneTruth(lane), w.cl.LaneCollector(lane),
-					obedient, 4, wideFaultRound+6) != nil
+				out[lane] = failed>>uint(lane)&1 != 0
 			}
 			return nil
 		})

@@ -34,6 +34,10 @@ type batchDiagWorker struct {
 	class   string
 	scratch []int // per-gang per-lane parameter stash
 
+	// Per-lane audit windows and verdicts of the gang audit.
+	from, to []int
+	errs     []error
+
 	// Lane-occupancy instruments (batched path only): how full the 64-bit
 	// planes ran. lanes/gangs are totals; occupancy is the high watermark
 	// of lanes·N as a percentage of the 64-bit word.
@@ -48,7 +52,11 @@ func newBatchDiagWorker(ws *metrics.WorkerSet, class string, src *rng.Source, cf
 		if err != nil {
 			return nil, err
 		}
-		w := &batchDiagWorker{cl: cl, rng: src.NewPool(), class: class}
+		lanes := cl.MaxLanes()
+		w := &batchDiagWorker{
+			cl: cl, rng: src.NewPool(), class: class,
+			from: make([]int, lanes), to: make([]int, lanes), errs: make([]error, lanes),
+		}
 		if reg := ws.Worker(); reg != nil {
 			w.reg = reg
 			w.sm = core.NewStepMetrics(reg)
@@ -114,6 +122,10 @@ func (w *batchDiagWorker) observeLane(lane int) {
 	w.sys.ObserveIsolationLatency(w.cl.LaneTruth(lane), w.cl.LaneCollector(lane))
 }
 
+// allObedient lists the observers of the Sec. 8 campaigns without a
+// Byzantine protocol instance.
+var allObedient = []int{1, 2, 3, 4}
+
 // burstCampaignBatched is the lane-packed twin of BurstCampaign.
 func burstCampaignBatched(p Params) ([]CampaignRow, error) {
 	src := rng.NewSource(p.Seed)
@@ -137,16 +149,15 @@ func burstCampaignBatched(p Params) ([]CampaignRow, error) {
 						w.cl.AddLaneDisturbance(lane, fault.NewTrain(
 							fault.SlotBurst(sched, injectRound, startSlot, slots)))
 						w.cl.SetLaneHorizon(lane, injectRound+10)
-						w.scratch = append(w.scratch, injectRound)
+						w.from[lane], w.to[lane] = 4, injectRound+6
 					}
 					if err := w.cl.Run(); err != nil {
 						return err
 					}
+					w.cl.AuditGang(allObedient, w.from, w.to, w.errs)
 					for lane := 0; lane < width; lane++ {
 						w.observeLane(lane)
-						err := sim.AuditTheorem1(w.cl.LaneTruth(lane), w.cl.LaneCollector(lane),
-							[]int{1, 2, 3, 4}, 4, w.scratch[lane]+6)
-						if err != nil {
+						if err := w.errs[lane]; err != nil {
 							out[lane] = runVerdict{failure: err.Error()}
 						} else {
 							out[lane] = runVerdict{pass: true}

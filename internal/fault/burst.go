@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -43,8 +45,9 @@ var _ tdma.Disturbance = (*Train)(nil)
 // single binary search).
 func NewTrain(bursts ...Burst) *Train {
 	sorted := append([]Burst(nil), bursts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	merged := make([]Burst, 0, len(sorted))
+	slices.SortFunc(sorted, func(a, b Burst) int { return cmp.Compare(a.Start, b.Start) })
+	// Merge in place: the merged prefix never overtakes the read position.
+	merged := sorted[:0]
 	for _, b := range sorted {
 		if b.Length <= 0 {
 			continue
@@ -68,6 +71,27 @@ func (t *Train) Hits(start, end time.Duration) bool {
 	// Binary search for the first burst that could overlap.
 	i := sort.Search(len(t.bursts), func(i int) bool { return t.bursts[i].End() > start })
 	return i < len(t.bursts) && t.bursts[i].Overlaps(start, end)
+}
+
+// SlotMask returns the slots of one round that overlap a burst: bit s-1 is
+// set iff Hits reports slot s's window of that round. It is the whole
+// round's delivery verdict in one word — one search for the first burst
+// that can reach the round, then one interval test per burst inside it —
+// so a round loop can share it across slots instead of asking Hits per
+// transmission. Slots are contiguous and non-empty, so a burst covers the
+// run of slots from the one holding its first instant inside the round to
+// the one holding its last.
+func (t *Train) SlotMask(sched *tdma.Schedule, round int) uint64 {
+	rs, re := sched.RoundStart(round), sched.RoundStart(round+1)
+	var mask uint64
+	i := sort.Search(len(t.bursts), func(i int) bool { return t.bursts[i].End() > rs })
+	for ; i < len(t.bursts) && t.bursts[i].Start < re; i++ {
+		b := t.bursts[i]
+		_, first := sched.At(max(b.Start, rs))
+		_, last := sched.At(min(b.End(), re) - 1)
+		mask |= (^uint64(0) >> uint(64-(last-first+1))) << uint(first-1)
+	}
+	return mask
 }
 
 // Deliver implements tdma.Disturbance: transmissions overlapping a burst are

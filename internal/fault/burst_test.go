@@ -201,3 +201,72 @@ func TestBurstStraddlingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTrainSlotMaskMatchesHits pins SlotMask to the per-slot Hits query it
+// replaces on the batched delivery path, on a uniform and a custom slot
+// grid: bursts straddling a round boundary, touching and overlapping bursts
+// (merged by NewTrain), zero-length bursts, an empty train, and rounds far
+// past the last burst.
+func TestTrainSlotMaskMatchesHits(t *testing.T) {
+	custom, err := tdma.NewCustomSchedule([]time.Duration{300, 1100, 200, 700, 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sched := range []*tdma.Schedule{paperSched, custom} {
+		rl := sched.RoundLen()
+		slot := func(round, s int) (time.Duration, time.Duration) { return sched.SlotWindow(round, s) }
+		s2, _ := slot(2, 2)
+		_, e3 := slot(3, sched.N())
+		s5, e5 := slot(5, 3)
+		trains := map[string]*Train{
+			"empty":      NewTrain(),
+			"zero":       NewTrain(Burst{Start: s2, Length: 0}, Burst{Start: s5 + 1, Length: 0}),
+			"straddle":   NewTrain(Burst{Start: e3 - 1, Length: 2}),
+			"touching":   NewTrain(Burst{Start: s2, Length: 10}, Burst{Start: s2 + 10, Length: 10}, Burst{Start: s2 + 5, Length: 40}),
+			"inside":     NewTrain(Burst{Start: s5 + 1, Length: e5 - s5 - 2}),
+			"slot_edges": NewTrain(Burst{Start: s5, Length: e5 - s5}),
+			"blackout":   NewTrain(Blackout(sched, 1, 2)),
+			"multi":      NewTrain(Burst{Start: s2 - 1, Length: 1}, Burst{Start: s2 + 1, Length: 1}, Burst{Start: e3 - 3, Length: 1}, Burst{Start: 7 * rl, Length: 3*rl + 1}),
+			"periodic":   Periodic(rl/3, rl/7, rl/2, 40),
+		}
+		for name, tr := range trains {
+			for round := 0; round < 200; round++ {
+				var want uint64
+				for s := 1; s <= sched.N(); s++ {
+					if tr.Hits(slot(round, s)) {
+						want |= 1 << uint(s-1)
+					}
+				}
+				if got := tr.SlotMask(sched, round); got != want {
+					t.Fatalf("uniform=%v %s round %d: SlotMask = %b, Hits give %b",
+						sched.Uniform(), name, round, got, want)
+				}
+			}
+		}
+	}
+	if err := quick.Check(func(seed int64) bool {
+		st := rng.NewStream(seed)
+		var bursts []Burst
+		for i := 0; i < 1+st.Intn(8); i++ {
+			bursts = append(bursts, Burst{
+				Start:  time.Duration(st.Intn(int(20 * custom.RoundLen()))),
+				Length: time.Duration(st.Intn(int(2 * custom.RoundLen()))),
+			})
+		}
+		tr := NewTrain(bursts...)
+		for round := 0; round < 25; round++ {
+			var want uint64
+			for s := 1; s <= custom.N(); s++ {
+				if tr.Hits(custom.SlotWindow(round, s)) {
+					want |= 1 << uint(s-1)
+				}
+			}
+			if tr.SlotMask(custom, round) != want {
+				return false
+			}
+		}
+		return true
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+}

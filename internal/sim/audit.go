@@ -210,6 +210,78 @@ func AuditTheorem1(src TruthSource, col *Collector, obedient []int, fromRound, t
 	return nil
 }
 
+// AuditGang is AuditTheorem1 for every live lane of a batched gang at once:
+// lane r is audited over its own window [from[r], to[r]) against the gang's
+// lane-packed records, one word operation per (round, observer) instead of
+// one unpacked vector per (lane, round, observer). It returns the failing
+// lanes (bit r = lane r) and sets errs[r] to the lane's error, nil when it
+// passes. The packed check only decides pass or fail: a failing lane's error
+// is AuditTheorem1's own on the lane's views, so every message comes from a
+// single implementation. from, to and errs need an entry per live lane.
+func (c *BatchDiagCluster) AuditGang(obedient []int, from, to []int, errs []error) uint64 {
+	n, w := c.n, c.n+1
+	var bad uint64 // plane segments of the lanes with a violation
+	lo, hi := c.round, 0
+	for r := 0; r < c.lanes; r++ {
+		errs[r] = nil
+		if from[r] >= to[r] {
+			continue
+		}
+		if from[r] < 0 || to[r] > c.round {
+			bad |= c.laneAll << uint(r*n) // rounds without ground truth
+		}
+		lo, hi = min(lo, max(from[r], 0)), max(hi, min(to[r], c.round))
+	}
+	for _, obs := range obedient {
+		if obs < 1 || obs > n {
+			// Outside the packed records; let the reference decide.
+			bad = c.allB
+		}
+	}
+	if len(obedient) == 0 {
+		bad = c.allB
+	}
+	for d := lo; d < hi && bad != c.allB; d++ {
+		var act uint64 // segments of the lanes auditing round d
+		for r := 0; r < c.lanes; r++ {
+			if from[r] <= d && d < to[r] {
+				act |= c.laneAll << uint(r*n)
+			}
+		}
+		// A lane records health vectors only inside its horizon, so a lane
+		// without ground truth for round d fails the record checks below.
+		// A missing record has no lane bits, so it fails every lane.
+		rec := func(obs int) hvRecord {
+			if i := d*w + obs; i < len(c.recs) {
+				return c.recs[i]
+			}
+			return hvRecord{}
+		}
+		ref := rec(obedient[0])
+		bad |= act &^ ref.lanes
+		for _, obs := range obedient[1:] {
+			hv := rec(obs)
+			bad |= act &^ hv.lanes
+			bad |= act & (hv.known ^ ref.known | (hv.op^ref.op)&ref.known)
+		}
+		benign, malicious := c.truthB[d], c.truthM[d]
+		faulty, healthy := ref.known&^ref.op, ref.known&ref.op
+		bad |= act & (benign&^faulty | ^benign&^malicious&^healthy)
+	}
+	var failed uint64
+	for r := 0; r < c.lanes; r++ {
+		if bad>>uint(r*n)&c.laneAll == 0 {
+			continue
+		}
+		failed |= 1 << uint(r)
+		errs[r] = AuditTheorem1(c.LaneTruth(r), c.LaneCollector(r), obedient, from[r], to[r])
+		if errs[r] == nil {
+			errs[r] = fmt.Errorf("sim: gang audit failed lane %d, which AuditTheorem1 passes", r)
+		}
+	}
+	return failed
+}
+
 // AuditTheorem2 checks the membership service's guaranteed properties over a
 // run (Theorem 2) for a single asymmetric-fault episode:
 //

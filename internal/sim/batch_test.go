@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
@@ -92,6 +94,57 @@ func batchScenarios() []batchScenario {
 				mal := tdma.NodeID(1 + run%4)
 				add(fault.NewMaliciousSyndrome(mal, rng.NewStream(int64(4000+run))))
 				return 20 + run%4
+			},
+		},
+		{
+			// One gang mixing both delivery paths: train-only lanes take
+			// the slot-mask words, malicious-only lanes and the one
+			// [Train, MaliciousSyndrome] chain run their chains per slot,
+			// and the undisturbed lane is a mask lane with an empty mask.
+			name: "mixed",
+			cfg: ClusterConfig{
+				Ls: prototype,
+				PR: core.PRConfig{PenaltyThreshold: 3, RewardThreshold: 5},
+			},
+			attach: func(run int, sched *tdma.Schedule, add func(tdma.Disturbance)) int {
+				train := func() tdma.Disturbance {
+					start := 5 + run%4
+					var bursts []fault.Burst
+					for r := start; r < start+10; r += 2 {
+						bursts = append(bursts, fault.SlotBurst(sched, r, 1+run%4, 1+run%3))
+					}
+					return fault.NewTrain(bursts...)
+				}
+				mal := func() tdma.Disturbance {
+					return fault.NewMaliciousSyndrome(tdma.NodeID(1+(run+1)%4), rng.NewStream(int64(7000+run)))
+				}
+				switch {
+				case run == 2:
+					add(train())
+					add(mal())
+				case run == 3:
+				case run%2 == 0:
+					add(train())
+				default:
+					add(mal())
+				}
+				return 18 + run%5
+			},
+		},
+		{
+			// Heterogeneous slot lengths with bursts of arbitrary phase,
+			// so the slot masks come from the custom slot grid.
+			name: "bursts_slotlens",
+			cfg: ClusterConfig{
+				Ls:       prototype,
+				SlotLens: []time.Duration{300 * time.Microsecond, 1100 * time.Microsecond, 200 * time.Microsecond, 900 * time.Microsecond},
+			},
+			attach: func(run int, sched *tdma.Schedule, add func(tdma.Disturbance)) int {
+				inject := 4 + run%6
+				at := sched.RoundStart(inject) + time.Duration(run*173%2500)*time.Microsecond
+				length := time.Duration(50+run*311%3000) * time.Microsecond
+				add(fault.NewTrain(fault.Burst{Start: at, Length: length}))
+				return inject + 10 + run%3
 			},
 		},
 	}
@@ -239,11 +292,20 @@ func TestBatchClusterReset(t *testing.T) {
 			if !reflect.DeepEqual(reused.LaneCollector(lane), fresh.LaneCollector(lane)) {
 				t.Fatalf("gang %d lane %d: reused cluster collector diverges from fresh", gang, lane)
 			}
-			if !reflect.DeepEqual(reused.truth[lane], fresh.truth[lane]) {
+			if !reflect.DeepEqual(truthRows(reused.LaneTruth(lane)), truthRows(fresh.LaneTruth(lane))) {
 				t.Fatalf("gang %d lane %d: reused cluster truth diverges from fresh", gang, lane)
 			}
 		}
 	}
+}
+
+// truthRows copies every recorded ground-truth row of a source.
+func truthRows(src TruthSource) [][]tdma.OutcomeClass {
+	rows := make([][]tdma.OutcomeClass, src.Round())
+	for r := range rows {
+		rows[r] = append([]tdma.OutcomeClass(nil), src.Truth(r)...)
+	}
+	return rows
 }
 
 // TestBatchClusterRejects pins the constructor's validation surface.
@@ -263,5 +325,113 @@ func TestBatchClusterRejects(t *testing.T) {
 	}
 	if err := bc.ResetBatch(17); err == nil {
 		t.Fatal("17-lane gang accepted")
+	}
+}
+
+// TestGangAuditMatchesAuditTheorem1 is the differential test of the packed
+// Theorem-1 audit: for every scenario, random per-lane windows and obedient
+// sets, AuditGang must fail exactly the lanes on which AuditTheorem1 over
+// the lane's views errs, with the same message. The windows reach before
+// the first round, into the horizon tail nobody diagnoses and past the
+// horizon; a second pass tampers with the records (truth classes, health
+// vector bits, recorded lanes) so every kind of violation is exercised.
+func TestGangAuditMatchesAuditTheorem1(t *testing.T) {
+	kinds := map[string]int{}
+	for _, sc := range batchScenarios() {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			bc, err := NewBatchDiagCluster(sc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, width := bc.Config().N, bc.MaxLanes()
+			if err := bc.ResetBatch(width); err != nil {
+				t.Fatal(err)
+			}
+			maxH := 0
+			for lane := 0; lane < width; lane++ {
+				lane := lane
+				h := sc.attach(lane, bc.Schedule(), func(d tdma.Disturbance) { bc.AddLaneDisturbance(lane, d) })
+				bc.SetLaneHorizon(lane, h)
+				maxH = max(maxH, h)
+			}
+			if err := bc.Run(); err != nil {
+				t.Fatal(err)
+			}
+			st := rng.NewStream(int64(len(sc.name)))
+			from, to := make([]int, width), make([]int, width)
+			errs := make([]error, width)
+			check := func(pass string) {
+				for trial := 0; trial < 300; trial++ {
+					var obedient []int
+					for id := 1; id <= n; id++ {
+						if st.Intn(3) != 0 {
+							obedient = append(obedient, id)
+						}
+					}
+					if len(obedient) == 0 {
+						obedient = append(obedient, 1+st.Intn(n))
+					}
+					if st.Intn(4) == 0 {
+						obedient[0], obedient[len(obedient)-1] = obedient[len(obedient)-1], obedient[0]
+					}
+					for lane := 0; lane < width; lane++ {
+						from[lane] = st.Intn(maxH+4) - 2
+						to[lane] = from[lane] + st.Intn(maxH+4) - 1
+					}
+					failed := bc.AuditGang(obedient, from, to, errs)
+					for lane := 0; lane < width; lane++ {
+						want := AuditTheorem1(bc.LaneTruth(lane), bc.LaneCollector(lane), obedient, from[lane], to[lane])
+						if got := failed>>uint(lane)&1 != 0; got != (want != nil) {
+							t.Fatalf("%s trial %d lane %d window [%d,%d) obedient %v: gang audit failed=%v, AuditTheorem1: %v",
+								pass, trial, lane, from[lane], to[lane], obedient, got, want)
+						}
+						if fmt.Sprint(errs[lane]) != fmt.Sprint(want) {
+							t.Fatalf("%s trial %d lane %d: gang audit error %v, AuditTheorem1 %v", pass, trial, lane, errs[lane], want)
+						}
+						if want != nil {
+							msg := want.Error()
+							kinds[msg[:strings.IndexAny(msg[5:], ":0123456789")+5]]++
+						}
+					}
+				}
+			}
+			check("recorded")
+			// Tamper with the records the views and the packed audit share:
+			// flip truth classes, health-vector opinions and recorded lanes.
+			w := n + 1
+			for i := 0; i < 12; i++ {
+				lane, k, slot := st.Intn(width), st.Intn(maxH), st.Intn(n)
+				bit := uint64(1) << uint(lane*n+slot)
+				switch i % 3 {
+				case 0:
+					bc.truthB[k] ^= bit
+				case 1:
+					bc.truthM[k] |= bit
+					bc.truthB[k] &^= bit
+				}
+				if ri := k*w + 1 + st.Intn(n); ri < len(bc.recs) {
+					if i%4 == 3 {
+						bc.recs[ri].lanes &^= bc.laneAll << uint(lane*n)
+					} else {
+						bc.recs[ri].op ^= bit
+					}
+				}
+			}
+			bc.colViews, bc.truthViews = 0, 0
+			check("tampered")
+		})
+	}
+	for _, kind := range []string{
+		"sim: no ground truth for round ",
+		"sim: no health vectors recorded for round ",
+		"sim: observer ",
+		"sim: consistency violated for round ",
+		"sim: completeness violated",
+		"sim: correctness violated",
+	} {
+		if kinds[kind] == 0 {
+			t.Errorf("no window produced %q (kinds seen: %v)", kind, kinds)
+		}
 	}
 }

@@ -37,6 +37,11 @@ check_metrics_determinism() {
     go test -race -cpu=1,4 ./internal/cluster/ -run TestClusterMetricsMatchLockStep
 }
 
+check_batched_determinism() {
+    go test -race -cpu=1,4 ./internal/experiments/ -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestScaleResilienceBatchedEquivalence|TestBatchedTraceEquivalence'
+    go test -race -cpu=1,4 ./internal/sim/ -run 'TestBatchClusterEquivalence|TestGangAuditMatchesAuditTheorem1'
+}
+
 check_fleet_determinism() {
     go test -race -cpu=1,4 ./internal/fleet/ \
         -run 'TestFleetWorkerCountInvariance|TestFleetShardOrderInvariance|TestFleetMonolithicEquivalence|TestFleetCausalWorkerInvariance'
@@ -63,8 +68,7 @@ step "go test -race -cpu=1,4 (cluster reuse equivalence)" \
     go test -race -cpu=1,4 ./internal/sim/ -run TestClusterReuseEquivalence
 step "go test -race -cpu=1,4 (packed/scalar step equivalence)" \
     go test -race -cpu=1,4 ./internal/core/ -run 'TestPackedScalarStepEquivalence|TestPackedScalarTraceEquivalence'
-step "go test -race -cpu=1,4 (batched campaign determinism)" \
-    go test -race -cpu=1,4 ./internal/experiments/ -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestScaleResilienceBatchedEquivalence|TestBatchedTraceEquivalence'
+step "go test -race -cpu=1,4 (batched campaign determinism)" check_batched_determinism
 step "go test -race -cpu=1,4 (fleet determinism)" check_fleet_determinism
 step "go test -race -cpu=1,4 (checkpoint + splitting determinism)" check_checkpoint_determinism
 step "go test (allocation ceilings)" \
