@@ -118,6 +118,7 @@ func (np *nodeProc) loop() {
 			payload, err := np.runner.Run(m.round, np.ctrl)
 			rep := jobReply{payload: payload, err: err}
 			if dr, ok := np.runner.(*sim.DiagRunner); ok {
+				//lint:ignore no-retain the coordinator keeps only each node's latest output, which Cluster.Last hands out under the protocol's three-round window
 				rep.output = dr.Last()
 			}
 			select {
@@ -345,7 +346,11 @@ func (c *Cluster) Round() int { return c.round }
 // Schedule returns the cluster's global communication schedule.
 func (c *Cluster) Schedule() *tdma.Schedule { return c.sched }
 
-// Last returns the most recent round output of node id.
+// Last returns the most recent round output of node id. Like
+// sim.DiagRunner.Last, its references are valid for the next three rounds
+// only.
+//
+//ttdiag:noretain
 func (c *Cluster) Last(id int) core.RoundOutput {
 	if id < 1 || id >= len(c.last) {
 		return core.RoundOutput{}

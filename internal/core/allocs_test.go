@@ -47,10 +47,10 @@ func stepAllocProtocol(t *testing.T, n int, packed, withMetrics bool) func() {
 }
 
 // TestProtocolStepAllocs pins the steady-state allocation budget of one
-// protocol execution. On the packed path the entire retained round output —
-// matrix planes, consistent health vector and dissemination syndrome — is one
-// fixed-size block, so the budget is a single allocation per Step; the scalar
-// reference pays one more for the matrix row-header.
+// protocol execution. On the packed path the whole round output — matrix
+// planes, consistent health vector, dissemination syndrome, Send and Active
+// — goes into the protocol's output ring, so a Step allocates nothing; the
+// scalar reference still allocates its per-round block and matrix header.
 func TestProtocolStepAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
@@ -62,13 +62,13 @@ func TestProtocolStepAllocs(t *testing.T) {
 		withMetrics bool
 		ceiling     float64
 	}{
-		{"packed_n4", 4, true, false, 1},
-		{"packed_n64", 64, true, false, 1},
+		{"packed_n4", 4, true, false, 0},
+		{"packed_n64", 64, true, false, 0},
 		{"scalar_n4", 4, false, false, 2},
 		// Telemetry attached: the instruments are preallocated int64 cells
 		// updated in place, so the ceilings do not move.
-		{"packed_n4_metrics", 4, true, true, 1},
-		{"packed_n64_metrics", 64, true, true, 1},
+		{"packed_n4_metrics", 4, true, true, 0},
+		{"packed_n64_metrics", 64, true, true, 0},
 		{"scalar_n4_metrics", 4, false, true, 2},
 	}
 	for _, tc := range cases {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -137,15 +138,19 @@ func (b BitSyndrome) UnpackInto(dst Syndrome) {
 		return
 	}
 	dst[0] = Erased
-	for j := 1; j <= dst.N(); j++ {
-		dst[j] = b.Get(j)
+	// Entry j is the Op bit where Known and Erased (2) elsewhere — past
+	// MaxPackedN too, where the ones shifted into unknown answer.
+	op, unknown := b.Op&b.Known, ^b.Known
+	for j := 1; j < len(dst); j++ {
+		dst[j] = Opinion(op&1 | unknown&1<<1)
+		op, unknown = op>>1, unknown>>1|1<<63
 	}
 }
 
 // BitSyndromeFromWire unpacks a wire-format diagnostic message (the same
 // LSB-first bit layout written by Syndrome.Encode) directly into planes: a
-// handful of byte loads instead of the O(N) per-entry loop of
-// DecodeSyndromeInto. Every entry of a wire syndrome is known (the ε case is
+// handful of byte loads — one 8-byte load for 57..64 nodes — instead of the
+// O(N) per-entry loop of DecodeSyndromeInto. Every entry of a wire syndrome is known (the ε case is
 // a missing or invalid frame, not a payload value), so Known covers all n
 // nodes. Padding bits beyond n are ignored, exactly like the scalar decoder.
 func BitSyndromeFromWire(data []byte, n int) (BitSyndrome, error) {
@@ -156,8 +161,12 @@ func BitSyndromeFromWire(data []byte, n int) (BitSyndrome, error) {
 		return BitSyndrome{}, fmt.Errorf("core: syndrome payload is %d bytes, want %d for %d nodes", len(data), EncodedLen(n), n)
 	}
 	var w uint64
-	for i, v := range data {
-		w |= uint64(v) << uint(8*i)
+	if len(data) == 8 {
+		w = binary.LittleEndian.Uint64(data)
+	} else {
+		for i, v := range data {
+			w |= uint64(v) << uint(8*i)
+		}
 	}
 	all := PlaneMask(n)
 	return BitSyndrome{Op: w & all, Known: all}, nil

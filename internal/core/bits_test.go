@@ -115,6 +115,61 @@ func TestBitSyndromeWireEquivalence(t *testing.T) {
 	}
 }
 
+// TestBitSyndromeFromWireMatchesByteLoop pins the wire decoder, including
+// its 8-byte load for 57..64 nodes, against a plain byte-by-byte
+// little-endian assembly at every width from 0 to 64, with random payloads
+// whose padding bits are set too.
+func TestBitSyndromeFromWireMatchesByteLoop(t *testing.T) {
+	st := rng.NewStream(13)
+	for n := 0; n <= MaxPackedN; n++ {
+		for trial := 0; trial < 20; trial++ {
+			data := make([]byte, EncodedLen(n))
+			st.Bytes(data)
+			var w uint64
+			for i, v := range data {
+				w |= uint64(v) << uint(8*i)
+			}
+			want := BitSyndrome{Op: w & PlaneMask(n), Known: PlaneMask(n)}
+			got, err := BitSyndromeFromWire(data, n)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			if got != want {
+				t.Fatalf("n=%d payload % x: got %+v, want %+v", n, data, got, want)
+			}
+		}
+		// Every length other than EncodedLen(n) is rejected, the 8-byte
+		// length included.
+		for _, l := range []int{EncodedLen(n) - 1, EncodedLen(n) + 1, 8} {
+			if l < 0 || l == EncodedLen(n) {
+				continue
+			}
+			if _, err := BitSyndromeFromWire(make([]byte, l), n); err == nil {
+				t.Fatalf("n=%d: accepted a %d-byte payload", n, l)
+			}
+		}
+	}
+}
+
+// TestUnpackIntoMatchesGet pins the shift-based UnpackInto against Get at
+// every width up to a few entries past MaxPackedN, including planes that
+// break Op ⊆ Known (Get reads such entries as ε).
+func TestUnpackIntoMatchesGet(t *testing.T) {
+	st := rng.NewStream(14)
+	for n := 0; n <= MaxPackedN+6; n++ {
+		for trial := 0; trial < 20; trial++ {
+			b := BitSyndrome{Op: st.Uint64(), Known: st.Uint64()}
+			dst := make(Syndrome, n+1)
+			b.UnpackInto(dst)
+			for j := 0; j <= n; j++ {
+				if dst[j] != b.Get(j) {
+					t.Fatalf("n=%d planes %+v: entry %d = %v, Get says %v", n, b, j, dst[j], b.Get(j))
+				}
+			}
+		}
+	}
+}
+
 func TestBitSyndromeFromWireErrors(t *testing.T) {
 	if _, err := BitSyndromeFromWire(make([]byte, 1), 16); err == nil {
 		t.Fatalf("accepted a short payload")

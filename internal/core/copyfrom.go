@@ -40,7 +40,7 @@ func (p *Protocol) CopyFrom(src *Protocol) error {
 		p.lastSentP = src.lastSentP
 		p.prevSentP = src.prevSentP
 	} else {
-		dst, from := &p.bufs[p.steps&1], &src.bufs[src.steps&1]
+		dst, from := &p.scalar.bufs[p.steps&1], &src.scalar.bufs[src.steps&1]
 		for j := 1; j <= n; j++ {
 			dst.set[j] = from.set[j]
 			if from.set[j] {
@@ -50,11 +50,8 @@ func (p *Protocol) CopyFrom(src *Protocol) error {
 		copy(dst.ls, from.ls)
 		copy(dst.al, from.al)
 	}
-	// lastSent/prevSent alias per-round output blocks that are immutable by
-	// contract (Reset installs fresh syndromes for exactly this reason), so
-	// sharing the headers is safe and costs nothing.
-	p.lastSent = src.lastSent
-	p.prevSent = src.prevSent
+	copy(p.lastSent, src.lastSent)
+	copy(p.prevSent, src.prevSent)
 
 	copy(p.accuse, src.accuse)
 	copy(p.accusedAge, src.accusedAge)

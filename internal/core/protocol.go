@@ -160,14 +160,15 @@ type PackedRoundInput struct {
 	Collision CollisionFn
 }
 
-// RoundOutput is the result of one diagnostic-job execution.
+// RoundOutput is the result of one diagnostic-job execution. Its reference
+// fields (Send, SendSyndrome, ConsHV, Matrix, Active) point into the
+// protocol's output ring and are valid for the next three Steps only (see
+// Protocol); Isolated, Reintegrated and Accused are fresh per round.
 type RoundOutput struct {
 	// Round echoes the executed round.
 	Round int
 	// Send is the encoded local syndrome to write into the node's interface
-	// variable (the dissemination payload, N bits). It is backed by a ring
-	// buffer: valid for the next three Steps, then overwritten — copy it to
-	// keep it longer (SendSyndrome is the retain-safe decoded form).
+	// variable (the dissemination payload, N bits).
 	Send []byte
 	// SendSyndrome is the decoded form of Send.
 	SendSyndrome Syndrome
@@ -189,8 +190,7 @@ type RoundOutput struct {
 	// Reintegrated lists nodes returned to service by the optional
 	// reintegration extension.
 	Reintegrated []int
-	// Active is the activity vector after the update (1-based). Like Send it
-	// is ring-buffered: valid for the next three Steps, then overwritten.
+	// Active is the activity vector after the update (1-based).
 	Active []bool
 	// ActiveMask is the packed activity vector (bit j-1 = node j active) for
 	// systems within the packed bound; zero beyond it. Unlike Active it is a
@@ -263,71 +263,68 @@ func (b *alignBufP) reset(n int) {
 	b.ls, b.al = hw, hw
 }
 
-// The packedBlock tiers are the per-round retained blocks of the packed hot
-// path: the diagnostic matrix header, its two row planes, and the scalar
-// consHV/outSyn views of RoundOutput all live in one allocation. Tiering at
-// powers of two keeps the footprint close to the system size (the paper's
-// experiments run at N <= 16) while still costing exactly one allocation per
-// warm round at any width.
-type packedBlock4 struct {
-	m      Matrix
-	planes [2 * 5]uint64
-	syn    [2 * 5]Opinion
+// outputRing is the number of RoundOutput slots a Protocol cycles through:
+// round k writes slot k%outputRing, so every reference a RoundOutput
+// carries stays valid for exactly the next outputRing-1 Steps.
+const outputRing = 4
+
+// outSlot is one entry of the output ring: matrix, consistent health
+// vector, outgoing syndrome in decoded and wire form, activity vector. The
+// scalar reference path uses only send and active.
+type outSlot struct {
+	m              *Matrix
+	consHV, outSyn Syndrome
+	send           []byte
+	active         []bool
 }
 
-type packedBlock8 struct {
-	m      Matrix
-	planes [2 * 9]uint64
-	syn    [2 * 9]Opinion
-}
-
-type packedBlock16 struct {
-	m      Matrix
-	planes [2 * 17]uint64
-	syn    [2 * 17]Opinion
-}
-
-type packedBlock32 struct {
-	m      Matrix
-	planes [2 * 33]uint64
-	syn    [2 * 33]Opinion
-}
-
-type packedBlock64 struct {
-	m      Matrix
-	planes [2 * (MaxPackedN + 1)]uint64
-	syn    [2 * (MaxPackedN + 1)]Opinion
-}
-
-// newPackedRoundBlock allocates the single retained block of one packed
-// round and carves it into the matrix and the two output syndromes.
-func newPackedRoundBlock(n int) (m *Matrix, consHV, outSyn Syndrome) {
-	var planes []uint64
-	var syn []Opinion
-	switch {
-	case n <= 4:
-		b := new(packedBlock4)
-		m, planes, syn = &b.m, b.planes[:], b.syn[:]
-	case n <= 8:
-		b := new(packedBlock8)
-		m, planes, syn = &b.m, b.planes[:], b.syn[:]
-	case n <= 16:
-		b := new(packedBlock16)
-		m, planes, syn = &b.m, b.planes[:], b.syn[:]
-	case n <= 32:
-		b := new(packedBlock32)
-		m, planes, syn = &b.m, b.planes[:], b.syn[:]
-	default:
-		b := new(packedBlock64)
-		m, planes, syn = &b.m, b.planes[:], b.syn[:]
+// slot returns the ring slot of the current Step: its inline matrix header
+// and its stretch of each backing slice.
+func (p *Protocol) slot() outSlot {
+	i := p.steps & (outputRing - 1)
+	w, el := p.cfg.N+1, EncodedLen(p.cfg.N)
+	s := outSlot{m: &p.ring[i], send: p.ringSend[i*el : (i+1)*el : (i+1)*el], active: p.ringActive[i*w : (i+1)*w : (i+1)*w]}
+	if p.packed {
+		s.consHV = p.ringSyn[2*i*w : (2*i+1)*w : (2*i+1)*w]
+		s.outSyn = p.ringSyn[(2*i+1)*w : 2*(i+1)*w : 2*(i+1)*w]
 	}
-	w := n + 1
-	m.n = n
-	initPackedMatrix(m, planes[:2*w])
-	consHV = Syndrome(syn[0:w:w])
-	outSyn = Syndrome(syn[w : 2*w : 2*w])
-	consHV[0], outSyn[0] = Erased, Erased
-	return m, consHV, outSyn
+	return s
+}
+
+// initRing allocates the ring's backing slices. The matrix planes, most of
+// its bytes, are carved by the first warm packed Step (carvePlanes), so
+// building a cluster does not zero memory only a run uses.
+func (p *Protocol) initRing() {
+	w := p.cfg.N + 1
+	p.ringSend = make([]byte, outputRing*EncodedLen(p.cfg.N))
+	p.ringActive = make([]bool, outputRing*w)
+	if p.packed {
+		p.ringSyn = make(Syndrome, outputRing*2*w)
+		for i := range p.ring {
+			p.ring[i].n = p.cfg.N
+		}
+	}
+}
+
+// carvePlanes gives every ring matrix its row planes, out of one slice.
+func (p *Protocol) carvePlanes() {
+	w := p.cfg.N + 1
+	planes := make([]uint64, outputRing*2*w)
+	for i := range p.ring {
+		initPackedMatrix(&p.ring[i], planes[2*i*w:2*(i+1)*w])
+	}
+}
+
+// scalarState is the scalar reference path's alignment state; the packed
+// path leaves Protocol.scalar nil.
+type scalarState struct {
+	// bufs double-buffers the read/send-alignment state: round k reads
+	// bufs[k%2] (written in round k-1) and writes bufs[(k+1)%2].
+	bufs [2]alignBuf
+	// alDM is the scratch aligned-DM view of the current round. Its entries
+	// alias the previous round's buffer or the caller's input and never
+	// escape: the diagnostic matrix copies every row it is given.
+	alDM []Syndrome
 }
 
 // Protocol is the per-node diagnostic job state machine (Alg. 1). Create one
@@ -341,13 +338,12 @@ func newPackedRoundBlock(n int) (m *Matrix, consHV, outSyn Syndrome) {
 // both paths produce identical outputs and snapshot bytes.
 //
 // Buffer ownership: Step copies its inputs into protocol-owned scratch
-// (callers may reuse RoundInput slices immediately). The analysis results in
-// RoundOutput — ConsHV, Matrix, SendSyndrome — are backed by memory
-// allocated for that round alone and safe to retain indefinitely; no later
-// Step mutates them. Send and Active live in a small ring of reusable
-// buffers: they stay valid for the next three Steps and are then
-// overwritten, so callers that keep them longer must copy (every in-tree
-// consumer either copies immediately or reads only the latest output).
+// (callers may reuse RoundInput slices immediately). Everything a
+// RoundOutput references lives in a ring of four output slots allocated
+// once per protocol and is overwritten four Steps later, so the warm packed
+// path allocates nothing; callers that keep an output longer copy it
+// (Syndrome.Clone, Matrix.Clone). The scalar reference path still allocates
+// its matrix and syndromes per round.
 type Protocol struct {
 	cfg   Config
 	pr    *PenaltyReward
@@ -366,32 +362,32 @@ type Protocol struct {
 	// N <= MaxPackedN (tests force it off to exercise the scalar reference).
 	packed bool
 
-	// bufs double-buffers the read/send-alignment state of the scalar path:
-	// round k reads bufs[k%2] (written in round k-1) and writes
-	// bufs[(k+1)%2]. pbufs is the packed equivalent; only the representation
-	// in use is allocated.
-	bufs  [2]alignBuf
-	pbufs [2]alignBufP
-	// alDM is the scalar scratch aligned-DM view of the current round. Its
-	// entries alias the previous round's buffer or the caller's input and
-	// never escape: the diagnostic matrix copies every row it is given.
-	alDM []Syndrome
+	// pbufs double-buffers the read/send-alignment state of the packed
+	// path: round k reads pbufs[k%2] (written in round k-1) and writes
+	// pbufs[(k+1)%2]. scalar holds the scalar equivalent; only the
+	// representation in use is allocated.
+	pbufs  [2]alignBufP
+	scalar *scalarState
 	// inRows is the packed path's scratch for Step's scalar-to-packed input
-	// conversion (StepPacked callers provide their own rows).
+	// conversion, allocated by the first Step (StepPacked callers provide
+	// their own rows and never need it).
 	inRows []BitSyndrome
 	// lastSent / prevSent are the dissemination payloads of the previous
 	// two rounds; the one physically transmitted in round k-1 is this
-	// node's own row of the diagnostic matrix. The packed path keeps the
-	// plane forms alongside (the scalar forms stay current for snapshots).
+	// node's own row of the diagnostic matrix. Both are protocol-owned
+	// copies, never aliases of an output. The packed path keeps the plane
+	// forms alongside (the scalar forms stay current for snapshots).
 	lastSent  Syndrome
 	prevSent  Syndrome
 	lastSentP BitSyndrome
 	prevSentP BitSyndrome
-	// sendBufs and activeBufs are the rings backing RoundOutput.Send and
-	// RoundOutput.Active: round k writes slot k%4, so an output's buffers
-	// survive the next three Steps before being reused.
-	sendBufs   [4][]byte
-	activeBufs [4][]bool
+	// ring holds the matrix headers of the output ring (see outputRing),
+	// and ringSyn, ringSend and ringActive back the slots' other references
+	// (see slot).
+	ring       [outputRing]Matrix
+	ringSyn    Syndrome
+	ringSend   []byte
+	ringActive []bool
 	// accuse holds the remaining dissemination writes each pending minority
 	// accusation is carried for (membership mode); accuseMask mirrors its
 	// non-zero entries as a bit mask on the packed path.
@@ -446,17 +442,15 @@ func newProtocol(cfg Config, packed bool) (*Protocol, error) {
 	}
 	if packed {
 		p.pbufs = [2]alignBufP{newAlignBufP(cfg.N), newAlignBufP(cfg.N)}
-		p.inRows = make([]BitSyndrome, cfg.N+1)
 		p.lastSentP = bitSyndromeAllHealthy(cfg.N)
 		p.prevSentP = bitSyndromeAllHealthy(cfg.N)
 	} else {
-		p.bufs = [2]alignBuf{newAlignBuf(cfg.N), newAlignBuf(cfg.N)}
-		p.alDM = make([]Syndrome, cfg.N+1)
+		p.scalar = &scalarState{
+			bufs: [2]alignBuf{newAlignBuf(cfg.N), newAlignBuf(cfg.N)},
+			alDM: make([]Syndrome, cfg.N+1),
+		}
 	}
-	for i := range p.sendBufs {
-		p.sendBufs[i] = make([]byte, EncodedLen(cfg.N))
-		p.activeBufs[i] = make([]bool, cfg.N+1)
-	}
+	p.initRing()
 	for j := range p.accusedAge {
 		p.accusedAge[j] = accusationSkew + 1
 	}
@@ -466,9 +460,8 @@ func newProtocol(cfg Config, packed bool) (*Protocol, error) {
 // Reset returns the protocol to its freshly constructed state (round
 // StartRound, warm-up pending, all counters cleared) while keeping its
 // allocated buffers, so one instance can be reused across campaign
-// repetitions. Previously returned RoundOutputs keep their documented
-// retention guarantees: ConsHV/Matrix/SendSyndrome stay valid, Send and
-// Active follow the usual ring-buffer window.
+// repetitions. Previously returned RoundOutputs keep the usual ring window:
+// the next three Steps after their own, counted across the Reset.
 func (p *Protocol) Reset() {
 	n := p.cfg.N
 	if p.packed {
@@ -477,8 +470,8 @@ func (p *Protocol) Reset() {
 		p.lastSentP = bitSyndromeAllHealthy(n)
 		p.prevSentP = bitSyndromeAllHealthy(n)
 	} else {
-		for b := range p.bufs {
-			buf := &p.bufs[b]
+		for b := range p.scalar.bufs {
+			buf := &p.scalar.bufs[b]
 			for j := 1; j <= n; j++ {
 				buf.set[j] = true
 				for m := 1; m <= n; m++ {
@@ -489,10 +482,9 @@ func (p *Protocol) Reset() {
 			}
 		}
 	}
-	// lastSent/prevSent alias retain-safe per-round blocks of the previous
-	// run; fresh syndromes keep those blocks immutable.
-	p.lastSent = NewSyndrome(n, Healthy)
-	p.prevSent = NewSyndrome(n, Healthy)
+	for j := 1; j <= n; j++ {
+		p.lastSent[j], p.prevSent[j] = Healthy, Healthy
+	}
 	for j := range p.accuse {
 		p.accuse[j] = 0
 		p.accusedAge[j] = accusationSkew + 1
@@ -547,7 +539,10 @@ func (p *Protocol) PenaltyReward() *PenaltyReward { return p.pr }
 // The input's slices stay caller-owned: Step copies what it needs, so a
 // caller may reuse its DMs/Validity buffers immediately after the call.
 //
-//ttdiag:noretain params
+// The output's references live in the protocol's output ring (see
+// RoundOutput): callers must not keep them past the next three Steps.
+//
+//ttdiag:noretain
 func (p *Protocol) Step(in RoundInput) (RoundOutput, error) {
 	n := p.cfg.N
 	if want := p.cfg.StartRound + p.steps; in.Round != want {
@@ -566,6 +561,9 @@ func (p *Protocol) Step(in RoundInput) (RoundOutput, error) {
 	}
 	if !p.packed {
 		return p.stepScalar(in)
+	}
+	if p.inRows == nil {
+		p.inRows = make([]BitSyndrome, n+1)
 	}
 	var present uint64
 	for j := 1; j <= n; j++ {
@@ -587,8 +585,10 @@ func (p *Protocol) Step(in RoundInput) (RoundOutput, error) {
 // observations, the zero-conversion entry of the hot path. It fails on
 // instances running the scalar representation (N > MaxPackedN). Rows stays
 // caller-owned (entries are copied by value) and may be reused immediately.
+// Like Step's, the output's references are only valid for the next three
+// Steps.
 //
-//ttdiag:noretain params
+//ttdiag:noretain
 func (p *Protocol) StepPacked(in PackedRoundInput) (RoundOutput, error) {
 	if !p.packed {
 		return RoundOutput{}, fmt.Errorf("core: node %d: StepPacked needs the packed representation (N = %d > %d); use Step", p.cfg.ID, p.cfg.N, MaxPackedN)
@@ -603,11 +603,11 @@ func (p *Protocol) StepPacked(in PackedRoundInput) (RoundOutput, error) {
 }
 
 // stepPacked is the bit-plane diagnostic job: every phase of Alg. 1 operates
-// on word masks, and the only allocation is the round's retained output
-// block. It is step-for-step equivalent to stepScalar (pinned by the
-// differential tests in packed_equivalence_test.go).
+// on word masks, and its outputs go into the round's ring slot, so the warm
+// path allocates nothing. It is step-for-step equivalent to stepScalar
+// (pinned by the differential tests in packed_equivalence_test.go).
 //
-//ttdiag:noretain params
+//ttdiag:noretain
 func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 	n := p.cfg.N
 	all := PlaneMask(n)
@@ -618,11 +618,10 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 	rd := &p.pbufs[p.steps&1]
 	wr := &p.pbufs[(p.steps+1)&1]
 
-	// The round's entire indefinitely-retainable output — matrix planes,
-	// consistent health vector and outgoing syndrome — lives in one fixed-
-	// size block, so the steady-state warm path costs exactly one allocation
-	// per Step (Send and Active come from the protocol's buffer rings).
-	matrix, consHV, outSyn := newPackedRoundBlock(n)
+	// The round's output — matrix planes, consistent health vector, outgoing
+	// syndrome, Send and Active — lives in its ring slot.
+	slot := p.slot()
+	matrix, consHV, outSyn := slot.m, slot.consHV, slot.outSyn
 
 	// Phases 1 and 3 — local detection and aggregation (read alignment,
 	// Alg. 1 lines 1-6): entries 1..l_i come from the previous read, the
@@ -649,6 +648,9 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 	// outgoing syndrome; in diagnostic mode the ordering is unobservable.
 	warm := p.steps >= p.cfg.Lag()
 	if warm {
+		if matrix.op == nil {
+			p.carvePlanes()
+		}
 		self := uint64(1) << uint(p.cfg.ID-1)
 		rowSet := (alSet &^ self) | self
 		for rem := rowSet; rem != 0; rem &= rem - 1 {
@@ -668,7 +670,10 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 			matrix.op[j] = row.Op
 			matrix.know[j] = row.Known
 		}
+		// Rows outside rowSet keep the slot's stale planes, which no accessor
+		// reads; the byte-level cache of the slot's previous round is dropped.
 		matrix.rowSet = rowSet
+		matrix.cells = nil
 
 		consBits := matrix.voteAllPlanes()
 		diagRound := in.Round - p.cfg.Lag()
@@ -757,9 +762,8 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 		}
 	}
 	outBits.UnpackInto(outSyn)
-	send := p.sendBufs[p.steps&3]
-	outBits.EncodeInto(send)
-	out.Send = send
+	outBits.EncodeInto(slot.send)
+	out.Send = slot.send
 	out.SendSyndrome = outSyn
 
 	// Phase 5 — update counters (Alg. 1 line 15, Alg. 2): one masked update
@@ -768,24 +772,21 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 	if out.ConsHV != nil {
 		out.Isolated, out.Reintegrated = p.pr.updateMasked(out.ConsHVBits.Known &^ out.ConsHVBits.Op)
 	}
-	active := p.activeBufs[p.steps&3]
-	copy(active, p.pr.active)
-	out.Active = active
+	copy(slot.active, p.pr.active)
+	out.Active = slot.active
 	out.ActiveMask = p.pr.activeMask
 
 	// Buffering for the next round (Alg. 1 lines 16-17): copy this round's
 	// raw observations into the buffer the next step will read (two-word
 	// value copies for the present rows). wr.al already holds the aligned
-	// local syndrome, and outSyn/outBits live in this round's private block
-	// or are values, so retaining them as lastSent costs nothing.
+	// local syndrome; the sent syndrome is copied out of the ring slot.
 	wr.set = present
 	for rem := present; rem != 0; rem &= rem - 1 {
 		j := bits.TrailingZeros64(rem) + 1
 		wr.rows[j] = in.Rows[j].normalized(all)
 	}
 	wr.ls = validity
-	p.prevSent = p.lastSent
-	p.lastSent = outSyn
+	p.recordSent(outSyn)
 	p.prevSentP = p.lastSentP
 	p.lastSentP = outBits
 	if p.metrics != nil {
@@ -806,19 +807,20 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 // implementation for systems beyond the packed bound and for the
 // differential tests (inputs are pre-validated by Step).
 //
-//ttdiag:noretain params
+//ttdiag:noretain
 func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
 	n := p.cfg.N
 
 	// rd was written in the previous round; wr becomes next round's rd.
-	rd := &p.bufs[p.steps&1]
-	wr := &p.bufs[(p.steps+1)&1]
+	rd := &p.scalar.bufs[p.steps&1]
+	wr := &p.scalar.bufs[(p.steps+1)&1]
 
-	// The round's entire indefinitely-retainable output — matrix cells,
-	// consistent health vector and outgoing syndrome — lives in one block,
-	// so the steady-state warm path costs a fixed two allocations per Step
+	// The round's matrix cells, consistent health vector and outgoing
+	// syndrome live in one block allocated for this round alone, so the
+	// steady-state warm path costs a fixed two allocations per Step
 	// regardless of N (the block and the Matrix header; Send and Active come
-	// from the protocol's buffer rings).
+	// from the ring slot).
+	slot := p.slot()
 	w := n + 1
 	block := make(Syndrome, w*w+2*w)
 	cells := block[0 : w*w : w*w]
@@ -839,7 +841,7 @@ func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
 	if p.cfg.Dynamic {
 		l = 0
 	}
-	alDM := p.alDM
+	alDM := p.scalar.alDM
 	alLS := wr.al
 	for j := 1; j <= n; j++ {
 		if j <= l {
@@ -952,9 +954,8 @@ func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
 			}
 		}
 	}
-	send := p.sendBufs[p.steps&3]
-	outSyn.EncodeInto(send)
-	out.Send = send
+	outSyn.EncodeInto(slot.send)
+	out.Send = slot.send
 	out.SendSyndrome = outSyn
 
 	// Phase 5 — update counters (Alg. 1 line 15, Alg. 2).
@@ -966,16 +967,13 @@ func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
 		out.Isolated = iso
 		out.Reintegrated = reint
 	}
-	active := p.activeBufs[p.steps&3]
-	copy(active, p.pr.active)
-	out.Active = active
+	copy(slot.active, p.pr.active)
+	out.Active = slot.active
 	out.ActiveMask = p.pr.activeMask
 
 	// Buffering for the next round (Alg. 1 lines 16-17): copy this round's
 	// raw observations into the buffer the next Step will read. wr.al
-	// already holds the aligned local syndrome (written during alignment),
-	// and outSyn lives in this round's private block, so retaining it as
-	// lastSent costs nothing and is never mutated by later rounds.
+	// already holds the aligned local syndrome (written during alignment).
 	for j := 1; j <= n; j++ {
 		wr.set[j] = in.DMs[j] != nil
 		if wr.set[j] {
@@ -983,8 +981,7 @@ func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
 		}
 	}
 	copy(wr.ls, in.Validity)
-	p.prevSent = p.lastSent
-	p.lastSent = outSyn
+	p.recordSent(outSyn)
 	if p.metrics != nil {
 		p.emitStepMetrics(&out, matrix, warm)
 	}
@@ -997,6 +994,14 @@ func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
 		p.checkStepInvariants(out)
 	}
 	return out, nil
+}
+
+// recordSent shifts the dissemination history by one round: prevSent takes
+// over lastSent's buffer, and the syndrome just sent is copied into the
+// other one.
+func (p *Protocol) recordSent(sent Syndrome) {
+	p.prevSent, p.lastSent = p.lastSent, p.prevSent
+	copy(p.lastSent, sent)
 }
 
 // ageAccusations advances the skew-guard ages; counters saturated past the

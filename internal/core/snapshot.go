@@ -64,7 +64,7 @@ func (p *Protocol) Snapshot() ([]byte, error) {
 			}
 		}
 	} else {
-		rd := &p.bufs[p.steps&1]
+		rd := &p.scalar.bufs[p.steps&1]
 		snap.PrevLS = rd.ls
 		snap.PrevAlLS = rd.al
 		for j := 1; j <= n; j++ {
@@ -155,7 +155,7 @@ func RestoreProtocol(data []byte) (*Protocol, error) {
 		p.lastSentP = packSyndrome(snap.LastSent)
 		p.prevSentP = packSyndrome(snap.PrevSent)
 	} else {
-		rd := &p.bufs[p.steps&1]
+		rd := &p.scalar.bufs[p.steps&1]
 		copy(rd.ls, snap.PrevLS)
 		copy(rd.al, snap.PrevAlLS)
 		for j := 1; j <= n; j++ {

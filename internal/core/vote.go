@@ -64,8 +64,8 @@ func HMaj(votes []Opinion) (Opinion, bool) {
 //     SetRow copies each syndrome.
 //
 // Either way the matrix owns its storage — SetRow/SetBitRow copy the given
-// row — so a Matrix retained from a RoundOutput stays valid even though the
-// protocol reuses its alignment buffers round over round. In the scalar
+// row. A RoundOutput's matrix is a slot of the protocol's output ring,
+// rewritten four Steps later; Clone keeps it past that. In the scalar
 // layout, row 0 of the backing array is never exposed (rows are 1-based) and
 // stores the per-row presence flags: cells[j] == Healthy iff row j is set.
 type Matrix struct {
@@ -126,6 +126,17 @@ func newScalarMatrix(n int) *Matrix {
 // needed.
 func newMatrixIn(n int, cells Syndrome) *Matrix {
 	return &Matrix{n: n, cells: cells}
+}
+
+// Clone returns a deep copy of the matrix in the same representation,
+// sharing no storage with m: the way to keep a RoundOutput's matrix past
+// the protocol's output-ring window.
+func (m *Matrix) Clone() *Matrix {
+	cp := &Matrix{n: m.n, rowSet: m.rowSet, cells: append(Syndrome(nil), m.cells...)}
+	if m.op != nil {
+		initPackedMatrix(cp, append(append(make([]uint64, 0, 2*(m.n+1)), m.op...), m.know...))
+	}
+	return cp
 }
 
 // N returns the system size.

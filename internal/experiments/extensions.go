@@ -347,7 +347,8 @@ func runAblation(p Params) error {
 				byObs = make(map[int]obsRecord)
 				records[out.DiagnosedRound] = byObs
 			}
-			byObs[id] = obsRecord{m: out.Matrix, hv: out.ConsHV}
+			// Scored after the run, past the protocol's output window.
+			byObs[id] = obsRecord{m: out.Matrix.Clone(), hv: out.ConsHV.Clone()}
 		}
 	}
 	if err := eng.RunRounds(26); err != nil {

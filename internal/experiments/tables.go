@@ -62,8 +62,9 @@ func runTable1(p Params) error {
 	var consHV core.Syndrome
 	runners[1].OnOutput = func(out core.RoundOutput) {
 		if out.DiagnosedRound == diagRound {
-			matrix = out.Matrix
-			consHV = out.ConsHV
+			// Printed after the run, past the protocol's output window.
+			matrix = out.Matrix.Clone()
+			consHV = out.ConsHV.Clone()
 		}
 	}
 	if err := eng.RunRounds(diagRound + 4); err != nil {

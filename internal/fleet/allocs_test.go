@@ -13,11 +13,9 @@ import (
 	"ttdiag/internal/invariant"
 )
 
-// TestGatewayRoundAllocs pins the steady-state allocation budget of one
-// gateway TDMA round: the only allocations are the per-gateway retained
-// round blocks inside StepPacked (one per protocol step), so the ceiling is
-// exactly Shards() allocations per RunRound — frames, rows, collision ring
-// and summary scratch are all reused.
+// TestGatewayRoundAllocs pins one steady-state gateway TDMA round at zero
+// allocations: the protocols write their outputs into their rings, and
+// frames, rows, collision ring and summary scratch are all reused.
 func TestGatewayRoundAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
@@ -42,7 +40,7 @@ func TestGatewayRoundAllocs(t *testing.T) {
 	for round < 8 {
 		run()
 	}
-	if avg := testing.AllocsPerRun(200, run); avg > s {
-		t.Errorf("gateway round allocates %.1f times, want <= %d (one retained round block per gateway)", avg, s)
+	if avg := testing.AllocsPerRun(200, run); avg != 0 {
+		t.Errorf("gateway round allocates %.1f times, want 0", avg)
 	}
 }

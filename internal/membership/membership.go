@@ -143,9 +143,10 @@ func (s *Service) History() []View {
 }
 
 // Step executes one round of the membership service. Like
-// core.Protocol.Step, the input's slices stay caller-owned.
+// core.Protocol.Step, the input's slices stay caller-owned, and the output's
+// Diag references are only valid for the next three Steps.
 //
-//ttdiag:noretain params
+//ttdiag:noretain
 func (s *Service) Step(in core.RoundInput) (Output, error) {
 	diag, err := s.proto.Step(in)
 	if err != nil {
@@ -157,9 +158,10 @@ func (s *Service) Step(in core.RoundInput) (Output, error) {
 // StepPacked executes one round on packed observations (the zero-conversion
 // entry of the hot path, available when the underlying protocol runs the
 // packed representation — see core.Protocol.StepPacked). The input's slices
-// stay caller-owned.
+// stay caller-owned, and the output's Diag references are only valid for the
+// next three Steps.
 //
-//ttdiag:noretain params
+//ttdiag:noretain
 func (s *Service) StepPacked(in core.PackedRoundInput) (Output, error) {
 	diag, err := s.proto.StepPacked(in)
 	if err != nil {

@@ -183,7 +183,7 @@ func Replay(log *Log, cfg sim.ClusterConfig, observer int) ([]RoundDiagnosis, er
 			out = append(out, RoundDiagnosis{
 				Round:          res.Round,
 				DiagnosedRound: res.DiagnosedRound,
-				ConsHV:         res.ConsHV,
+				ConsHV:         res.ConsHV.Clone(),
 				Isolated:       res.Isolated,
 			})
 		}

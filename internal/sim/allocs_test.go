@@ -15,32 +15,61 @@ import (
 	"ttdiag/internal/tdma"
 )
 
-// TestEngineRoundAllocs pins the steady-state allocation budget of one TDMA
-// round on the 4-node prototype: two allocations per node Step (the retained
-// per-round block and the matrix row headers) plus the amortized ground-truth
-// growth — the bus, the controllers and the round-input construction must not
-// allocate at all.
+// TestEngineRoundAllocs pins one steady-state TDMA round at zero
+// allocations, on the 4-node prototype and at the packed limit: the bus
+// hands undisturbed frames to the controllers by reference, the protocols
+// write their outputs into their rings, and the ground-truth block has
+// stopped growing after the warm-up.
 func TestEngineRoundAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
 	}
-	cl, err := NewReusableDiagnosticCluster(ClusterConfig{Ls: []int{2, 0, 3, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm up: fill every reusable buffer and get past the truth block's
-	// early doublings.
-	if err := cl.Eng.RunRounds(64); err != nil {
-		t.Fatal(err)
-	}
-	const ceiling = 10
-	avg := testing.AllocsPerRun(100, func() {
-		if err := cl.Eng.RunRound(); err != nil {
+	for _, cfg := range []ClusterConfig{
+		{Ls: []int{2, 0, 3, 1}},
+		{N: 64, RoundLen: DefaultRoundLen * 16},
+	} {
+		cl, err := NewReusableDiagnosticCluster(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg > ceiling {
-		t.Fatalf("RunRound allocates %.1f objects/round in steady state, ceiling %d", avg, ceiling)
+		// Warm up: fill every reusable buffer and get past the truth
+		// block's early doublings.
+		if err := cl.Eng.RunRounds(64); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			if err := cl.Eng.RunRound(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("N=%d: RunRound allocates %.1f objects/round in steady state, want 0", cl.Config().N, avg)
+		}
+	}
+}
+
+// TestReusableClusterConstructorAllocs keeps building a reusable cluster —
+// the set-up cost of every campaign worker and splitting trial — from
+// regressing: the ceilings are the counts before the output ring existed.
+func TestReusableClusterConstructorAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
+	}
+	for _, tc := range []struct {
+		cfg     ClusterConfig
+		ceiling float64
+	}{
+		{ClusterConfig{N: 4}, 134},
+		{ClusterConfig{N: 64, RoundLen: DefaultRoundLen * 16}, 1936},
+	} {
+		avg := testing.AllocsPerRun(10, func() {
+			if _, err := NewReusableDiagnosticCluster(tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > tc.ceiling {
+			t.Errorf("N=%d: NewReusableDiagnosticCluster allocates %.0f objects, ceiling %.0f", tc.cfg.N, avg, tc.ceiling)
+		}
 	}
 }
 

@@ -40,11 +40,41 @@ type Collector struct {
 	// nil — or, on a reused collector, all-nil — for rounds nobody has
 	// diagnosed (use RoundHVs for bounds-safe reads and check entries for
 	// nil).
+	//
+	// A protocol's outputs are only valid for three more Steps, so the hooks
+	// record copies, carved from a slab owned by the hooked runner (see
+	// hvSlab): they stay valid through the run and the runner's next
+	// ResetForRun, until the runner records again.
 	ConsHV [][]core.Syndrome
 	// Isolations and Reintegrations in decision order.
 	Isolations     []Isolation
 	Reintegrations []Isolation
 }
+
+// hvSlab is the reusable store for the health vectors a Collector records
+// from one runner. It lives with the runner rather than the collector, so
+// collectors stay plain values that compare equal across fresh and reused
+// clusters. A full slab is replaced by one twice its size (vectors already
+// recorded keep the old one alive); reset rewinds to its start.
+type hvSlab struct {
+	buf  core.Syndrome
+	used int
+}
+
+// copy returns a slab-backed copy of hv.
+func (s *hvSlab) copy(hv core.Syndrome) core.Syndrome {
+	w := len(hv)
+	if s.used+w > len(s.buf) {
+		s.buf = make(core.Syndrome, max(2*len(s.buf), 16*w))
+		s.used = 0
+	}
+	dst := s.buf[s.used : s.used+w : s.used+w]
+	s.used += w
+	copy(dst, hv)
+	return dst
+}
+
+func (s *hvSlab) reset() { s.used = 0 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
@@ -77,12 +107,12 @@ func (c *Collector) RoundHVs(round int) []core.Syndrome {
 
 // HookDiag installs the collector on a DiagRunner.
 func (c *Collector) HookDiag(observer int, r *DiagRunner) {
-	r.OnOutput = func(out core.RoundOutput) { c.record(observer, out) }
+	r.OnOutput = func(out core.RoundOutput) { c.record(observer, out, &r.hvs) }
 }
 
 // HookMembership installs the collector on a MembershipRunner.
 func (c *Collector) HookMembership(observer int, r *MembershipRunner) {
-	r.OnOutput = func(out membership.Output) { c.record(observer, out.Diag) }
+	r.OnOutput = func(out membership.Output) { c.record(observer, out.Diag, &r.hvs) }
 }
 
 // setHV stores one observer's consistent health vector for a diagnosed
@@ -104,9 +134,9 @@ func (c *Collector) setHV(d, observer int, hv core.Syndrome) {
 	c.ConsHV[d][observer] = hv
 }
 
-func (c *Collector) record(observer int, out core.RoundOutput) {
+func (c *Collector) record(observer int, out core.RoundOutput, slab *hvSlab) {
 	if out.ConsHV != nil {
-		c.setHV(out.DiagnosedRound, observer, out.ConsHV)
+		c.setHV(out.DiagnosedRound, observer, slab.copy(out.ConsHV))
 	}
 	for _, j := range out.Isolated {
 		c.Isolations = append(c.Isolations, Isolation{Observer: observer, Node: j, Round: out.Round})

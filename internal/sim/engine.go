@@ -243,7 +243,7 @@ func (e *Engine) RunRound() error {
 		if err != nil {
 			return fmt.Errorf("sim: round %d slot %d: %w", k, pos+1, err)
 		}
-		rt[pos+1] = report.Classify()
+		rt[pos+1] = report.Class
 		if e.OnReport != nil {
 			e.OnReport(report)
 		}

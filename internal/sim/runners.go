@@ -166,6 +166,9 @@ type DiagRunner struct {
 	last    core.RoundOutput
 	scratch inputScratch
 	act     activityCache
+	// hvs backs the health vectors a hooked Collector records from this
+	// runner.
+	hvs hvSlab
 	// OnOutput, when set, observes every round output (used by collectors).
 	OnOutput func(core.RoundOutput)
 
@@ -212,6 +215,7 @@ func (r *DiagRunner) ResetForRun() {
 	r.OnOutput = nil
 	r.haveSnap = false
 	r.act.reset()
+	r.hvs.reset()
 }
 
 // ResetConfig is ResetForRun with a configuration swap (same N), used when a
@@ -225,6 +229,7 @@ func (r *DiagRunner) ResetConfig(cfg core.Config) error {
 	r.OnOutput = nil
 	r.haveSnap = false
 	r.act.reset()
+	r.hvs.reset()
 	return nil
 }
 
@@ -257,12 +262,19 @@ func newDiagRunner(cfg core.Config, forceScalar bool) (*DiagRunner, error) {
 // Protocol returns the wrapped protocol.
 func (r *DiagRunner) Protocol() *core.Protocol { return r.proto }
 
-// Last returns the most recent round output.
+// Last returns the most recent round output. Its references are the
+// protocol's (see core.RoundOutput): valid for the next three rounds only.
+//
+//ttdiag:noretain
 func (r *DiagRunner) Last() core.RoundOutput { return r.last }
 
 // Run implements Runner. Within the packed bound it feeds the protocol
 // plane-form inputs straight off the controller's validity mask — no
-// []Opinion or []bool materialisation on the hot path.
+// []Opinion or []bool materialisation on the hot path. The returned payload
+// is the protocol's ring-backed Send, which the engine copies into the
+// controller's outbox at once.
+//
+//ttdiag:noretain results
 func (r *DiagRunner) Run(round int, ctrl *tdma.Controller) ([]byte, error) {
 	cfg := r.proto.Config()
 	dynamic := cfg.Dynamic
@@ -293,6 +305,7 @@ func (r *DiagRunner) Run(round int, ctrl *tdma.Controller) ([]byte, error) {
 		return nil, err
 	}
 	r.act.apply(ctrl, out, r.proto.Packed(), cfg.PR.ReintegrationThreshold > 0)
+	//lint:ignore no-retain Last hands the output on under the same three-Step window (//ttdiag:noretain)
 	r.last = out
 	if r.OnOutput != nil {
 		r.OnOutput(out)
@@ -306,6 +319,7 @@ type MembershipRunner struct {
 	last    membership.Output
 	scratch inputScratch
 	act     activityCache
+	hvs     hvSlab
 	// OnOutput, when set, observes every round output.
 	OnOutput func(membership.Output)
 	// sink, when set, receives a KindViewChange causal event whenever a new
@@ -324,6 +338,7 @@ func (r *MembershipRunner) ResetForRun() {
 	r.last = membership.Output{}
 	r.OnOutput = nil
 	r.act.reset()
+	r.hvs.reset()
 }
 
 var _ Runner = (*MembershipRunner)(nil)
@@ -350,14 +365,19 @@ func NewScalarMembershipRunner(cfg core.Config) (*MembershipRunner, error) {
 // Service returns the wrapped membership service.
 func (r *MembershipRunner) Service() *membership.Service { return r.svc }
 
-// Last returns the most recent round output.
+// Last returns the most recent round output; like DiagRunner.Last, its
+// references are valid for the next three rounds only.
+//
+//ttdiag:noretain
 func (r *MembershipRunner) Last() membership.Output { return r.last }
 
 // View returns the node's current membership view.
 func (r *MembershipRunner) View() membership.View { return r.svc.View() }
 
 // Run implements Runner; like DiagRunner.Run it stays in plane form within
-// the packed bound.
+// the packed bound and returns the protocol's ring-backed Send.
+//
+//ttdiag:noretain results
 func (r *MembershipRunner) Run(round int, ctrl *tdma.Controller) ([]byte, error) {
 	proto := r.svc.Protocol()
 	cfg := proto.Config()
@@ -381,6 +401,7 @@ func (r *MembershipRunner) Run(round int, ctrl *tdma.Controller) ([]byte, error)
 			Detail: fmt.Sprintf("view %d installed (%d members)", out.View.ID, len(out.View.Members)),
 		})
 	}
+	//lint:ignore no-retain Last hands the output on under the same three-Step window (//ttdiag:noretain)
 	r.last = out
 	if r.OnOutput != nil {
 		r.OnOutput(out)

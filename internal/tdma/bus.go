@@ -52,6 +52,10 @@ type TxReport struct {
 	Deliveries []Delivery
 	// Collision is the sender-side collision-detector verdict.
 	Collision bool
+	// Class is the report's ground-truth outcome class, counted by the bus
+	// while it delivered the slot: equal to Classify, without the second
+	// pass over the deliveries.
+	Class OutcomeClass
 }
 
 // Clone returns a retain-safe deep copy of the report: the bus reuses the
@@ -69,7 +73,9 @@ func (r *TxReport) Clone() *TxReport {
 }
 
 // Classify returns the ground-truth outcome class of the transmission with
-// respect to the receivers other than the sender.
+// respect to the receivers other than the sender, recounted from the
+// deliveries. Reports produced by Bus.TransmitSlot already carry it in
+// Class.
 func (r *TxReport) Classify() OutcomeClass {
 	var invalid, valid, altered int
 	for rcv := 1; rcv < len(r.Deliveries); rcv++ {
@@ -86,6 +92,13 @@ func (r *TxReport) Classify() OutcomeClass {
 			altered++
 		}
 	}
+	return classOf(invalid, valid, altered)
+}
+
+// classOf maps the receiver tallies of one transmission — invalid
+// deliveries, valid ones, and valid ones whose payload differs from the
+// transmitted one — to its outcome class.
+func classOf(invalid, valid, altered int) OutcomeClass {
 	switch {
 	case invalid > 0 && valid > 0:
 		return OutcomeAsymmetric
@@ -105,16 +118,22 @@ func (r *TxReport) Classify() OutcomeClass {
 type Bus struct {
 	sched *Schedule
 	ctrls []*Controller // 1-based by node ID
-	dist  Disturbances
-	sink  trace.Sink
+	// attached counts the non-nil entries of ctrls.
+	attached int
+	dist     Disturbances
+	sink     trace.Sink
 
-	// payloadBuf, tx and report are the bus's reusable in-flight frame: the
-	// staged payload copy, the transmission handed to disturbances and the
-	// per-slot transmission report are overwritten on every TransmitSlot
-	// instead of allocated per slot.
-	payloadBuf []byte
-	tx         Transmission
-	report     TxReport
+	// frames[s] (1-based) is the frame sender s last put on the bus: a copy
+	// of its staged outbox, rewritten only at s's own slot. Undisturbed
+	// receivers hold it by reference as their copy of variable s, which is
+	// sound because every receiver's copy of s is replaced in that same
+	// slot, before the frame's bytes change.
+	frames [][]byte
+	// tx and report are the bus's reusable in-flight transmission and
+	// per-slot report, overwritten on every TransmitSlot instead of
+	// allocated per slot.
+	tx     Transmission
+	report TxReport
 }
 
 // NewBus creates a bus for the given schedule. All N controllers must be
@@ -126,6 +145,7 @@ func NewBus(sched *Schedule, sink trace.Sink) *Bus {
 	return &Bus{
 		sched:  sched,
 		ctrls:  make([]*Controller, sched.N()+1),
+		frames: make([][]byte, sched.N()+1),
 		sink:   sink,
 		report: TxReport{Deliveries: make([]Delivery, sched.N()+1)},
 	}
@@ -146,6 +166,7 @@ func (b *Bus) Attach(c *Controller) error {
 		return fmt.Errorf("tdma: controller %d already attached", c.ID())
 	}
 	b.ctrls[c.ID()] = c
+	b.attached++
 	return nil
 }
 
@@ -167,6 +188,11 @@ func (b *Bus) ClearDisturbances() { b.dist = nil }
 // given round (0-based): the slot owner's staged interface value is
 // broadcast, each receiver's controller is updated with its (possibly
 // disturbed) delivery, and the sender's collision detector is refreshed.
+// The report's outcome class is counted along the way.
+//
+// Deliveries that leave the payload as the bus's frame go into the
+// controllers by reference; deliveries a disturbance replaced are copied,
+// so a disturbance keeps ownership of the payloads it returns.
 //
 // The returned report is bus-owned scratch, overwritten by the next
 // TransmitSlot — observers that keep reports across slots must use
@@ -182,8 +208,18 @@ func (b *Bus) TransmitSlot(round, slot int) (*TxReport, error) {
 	if sc == nil {
 		return nil, fmt.Errorf("tdma: no controller attached for node %d", sender)
 	}
+	// Checked before the frame is rewritten, so a failed slot leaves no
+	// receiver holding a frame it was not redelivered.
+	if b.attached < b.sched.N() {
+		for rcv := 1; rcv <= b.sched.N(); rcv++ {
+			if b.ctrls[rcv] == nil {
+				return nil, fmt.Errorf("tdma: no controller attached for node %d", rcv)
+			}
+		}
+	}
 	start, end := b.sched.SlotWindow(round, slot)
-	b.payloadBuf = append(b.payloadBuf[:0], sc.Outbox()...)
+	frame := append(b.frames[sender][:0], sc.Outbox()...)
+	b.frames[sender] = frame
 	// The transmission is built in bus-owned scratch: handing a pointer to
 	// the disturbance interface would otherwise heap-allocate it every slot.
 	tx := &b.tx
@@ -193,25 +229,42 @@ func (b *Bus) TransmitSlot(round, slot int) (*TxReport, error) {
 		Slot:    slot,
 		Start:   start,
 		End:     end,
-		Payload: b.payloadBuf,
+		Payload: frame,
 	}
 
 	report := &b.report
 	report.Tx = *tx
-	report.Collision = false
+	var invalid, valid, altered int
 	for rcv := 1; rcv <= b.sched.N(); rcv++ {
-		rc := b.ctrls[rcv]
-		if rc == nil {
-			return nil, fmt.Errorf("tdma: no controller attached for node %d", rcv)
+		d := Delivery{Valid: true, Payload: frame}
+		if len(b.dist) > 0 {
+			d = b.dist.Deliver(tx, NodeID(rcv), d)
 		}
-		d := Delivery{Valid: true, Payload: tx.Payload}
-		d = b.dist.Deliver(tx, NodeID(rcv), d)
 		if !d.Valid {
 			d.Payload = nil
 		}
 		report.Deliveries[rcv] = d
-		rc.ApplyDelivery(sender, d)
+		shared := d.Valid && sameFrame(d.Payload, frame)
+		if NodeID(rcv) != sender {
+			switch {
+			case !d.Valid:
+				invalid++
+			case shared:
+				valid++
+			default:
+				valid++
+				if !bytesEqual(d.Payload, frame) {
+					altered++
+				}
+			}
+		}
+		if shared {
+			b.ctrls[rcv].applyFrame(sender, frame)
+		} else {
+			b.ctrls[rcv].ApplyDelivery(sender, d)
+		}
 	}
+	report.Class = classOf(invalid, valid, altered)
 
 	// The sender's loop-back validity is governed by its local collision
 	// detector: if the message could not be read back from the bus, the
@@ -227,9 +280,15 @@ func (b *Bus) TransmitSlot(round, slot int) (*TxReport, error) {
 		Round:  round,
 		Kind:   trace.KindTransmit,
 		Node:   int(sender),
-		Detail: report.Classify().String(),
+		Detail: report.Class.String(),
 	})
 	return report, nil
+}
+
+// sameFrame reports whether p is still the bus frame f itself: the same
+// backing array and length, not merely equal bytes.
+func sameFrame(p, f []byte) bool {
+	return len(p) == len(f) && (len(p) == 0 || &p[0] == &f[0])
 }
 
 func bytesEqual(a, b []byte) bool {

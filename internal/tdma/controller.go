@@ -23,9 +23,12 @@ type Controller struct {
 	n  int
 
 	// values[j] and valid[j] (1-based) are the local copies of interface
-	// variable j and its validity bit. Each entry aliases valBuf[j], a
-	// per-sender scratch buffer reused across deliveries so the steady-state
-	// delivery path performs no allocation.
+	// variable j and its validity bit. Each entry aliases either valBuf[j],
+	// a per-sender scratch buffer reused across deliveries, or — for an
+	// undisturbed delivery on the lock-step Bus — the bus's frame of sender
+	// j (see applyFrame); either way the steady-state delivery path performs
+	// no allocation. valBuf itself is allocated by the first delivery that
+	// must be copied, which an undisturbed lock-step run never makes.
 	values [][]byte
 	valid  []bool
 	valBuf [][]byte
@@ -64,7 +67,6 @@ func NewController(id NodeID, n int) (*Controller, error) {
 		n:       n,
 		values:  make([][]byte, n+1),
 		valid:   make([]bool, n+1),
-		valBuf:  make([][]byte, n+1),
 		ignored: make([]bool, n+1),
 	}, nil
 }
@@ -103,9 +105,9 @@ func (c *Controller) WriteInterface(payload []byte) {
 }
 
 // ReadValue returns the local copy of interface variable j and its validity
-// bit. The returned slice is controller-owned scratch: it must not be
-// modified and is overwritten by the next delivery from j — callers must not
-// retain it across slots.
+// bit. The returned slice is controller- or bus-owned scratch: it must not
+// be modified and is overwritten by the next delivery from j — callers must
+// not retain it across slots.
 //
 //ttdiag:noretain
 func (c *Controller) ReadValue(j NodeID) (payload []byte, valid bool) {
@@ -116,10 +118,11 @@ func (c *Controller) ReadValue(j NodeID) (payload []byte, valid bool) {
 }
 
 // ReadAll returns the controller's interface-variable copies and validity
-// bits, both indexed 1..N (index 0 unused). Both slices and every payload
-// they reference are controller-owned: they must not be modified, and they
-// are overwritten in place by subsequent deliveries — callers must not
-// retain them across slots. Use Snapshot for a retain-safe deep copy.
+// bits, both indexed 1..N (index 0 unused). Both slices are controller-owned
+// and every payload they reference is owned by the controller or shared
+// with the bus (see applyFrame): none may be modified, and they are
+// overwritten by subsequent deliveries — callers must not retain them
+// across slots. Use Snapshot for a retain-safe deep copy.
 //
 //ttdiag:noretain
 func (c *Controller) ReadAll() (values [][]byte, valid []bool) {
@@ -215,8 +218,33 @@ func (c *Controller) ApplyDelivery(sender NodeID, d Delivery) {
 		c.setValid(sender, !c.ignored[sender] && d.Valid)
 		return
 	}
-	c.valBuf[sender] = append(c.valBuf[sender][:0], d.Payload...)
-	c.values[sender] = c.valBuf[sender]
+	c.values[sender] = c.ownCopy(sender, d.Payload)
+	c.setValid(sender, true)
+}
+
+// ownCopy copies payload into the controller's scratch buffer for sender
+// and returns the copy.
+func (c *Controller) ownCopy(sender NodeID, payload []byte) []byte {
+	if c.valBuf == nil {
+		c.valBuf = make([][]byte, c.n+1)
+	}
+	c.valBuf[sender] = append(c.valBuf[sender][:0], payload...)
+	return c.valBuf[sender]
+}
+
+// applyFrame is ApplyDelivery for a valid delivery that is still the bus's
+// own frame: the lock-step Bus hands the frame over by reference instead of
+// copying it. This is sound only because the Bus rewrites a sender's frame
+// solely at that sender's slot, where it also replaces every receiver's copy
+// of the variable; the goroutine-per-node runtime has no such shared frame
+// and keeps using ApplyDelivery.
+func (c *Controller) applyFrame(sender NodeID, frame []byte) {
+	if c.ignored[sender] || len(frame) == 0 {
+		c.values[sender] = nil
+		c.setValid(sender, !c.ignored[sender])
+		return
+	}
+	c.values[sender] = frame
 	c.setValid(sender, true)
 }
 
@@ -256,8 +284,7 @@ func (c *Controller) CopyStateFrom(src *Controller) error {
 		if src.values[j] == nil {
 			c.values[j] = nil
 		} else {
-			c.valBuf[j] = append(c.valBuf[j][:0], src.values[j]...)
-			c.values[j] = c.valBuf[j]
+			c.values[j] = c.ownCopy(NodeID(j), src.values[j])
 		}
 		c.valid[j] = src.valid[j]
 		c.ignored[j] = src.ignored[j]

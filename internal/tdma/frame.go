@@ -41,6 +41,12 @@ type Delivery struct {
 // implementations only ever degrade a delivery (clear validity, corrupt the
 // payload); they never restore validity, since a broadcast bus cannot
 // un-corrupt a frame.
+//
+// An implementation must never modify tx.Payload (or d.Payload while it is
+// still tx.Payload) in place: the bus shares that frame with every receiver
+// whose delivery leaves it untouched. A corrupted payload goes in a buffer
+// the disturbance owns; the bus copies such payloads into the receivers'
+// controllers, so the disturbance may reuse the buffer after the slot.
 type Disturbance interface {
 	// Deliver transforms the delivery of tx observed by receiver rcv.
 	Deliver(tx *Transmission, rcv NodeID, d Delivery) Delivery

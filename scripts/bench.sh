@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# bench.sh runs the campaign engine and protocol hot-path benchmarks and
-# records every sample in BENCH_campaign.json, plus the packed voting-kernel
-# microbenchmarks in BENCH_core.json, the telemetry-layer benchmarks
+# bench.sh runs the campaign engine and protocol hot-path benchmarks
+# (including the membership, concurrent-cluster and low-latency engine
+# rounds) and records every sample in BENCH_campaign.json, the per-run round
+# path's layer microbenchmarks (bus slot, runner jobs) in BENCH_layers.json,
+# plus the packed voting-kernel microbenchmarks in BENCH_core.json, the
+# telemetry-layer benchmarks
 # (instrument costs, Step with metrics on/off and Step with the causal
 # flight recorder on/off) in BENCH_metrics.json,
 # the hierarchical fleet campaign (sharded vs scalar monolithic at equal
@@ -42,10 +45,18 @@ END { print "\n]" }
 }
 
 go test -run '^$' \
-    -bench 'BenchmarkSec8BurstCampaign|BenchmarkProtocolStep|BenchmarkEngineRound' \
+    -bench 'BenchmarkSec8BurstCampaign|BenchmarkProtocolStep|BenchmarkEngineRound|BenchmarkMembershipRound|BenchmarkConcurrentClusterRound|BenchmarkLowLatRound' \
     -benchmem -count="$COUNT" . | tee "$raw"
 fold_json < "$raw" > BENCH_campaign.json
 echo "wrote BENCH_campaign.json"
+
+# The per-run round path layer by layer: one bus slot (empty and one-burst
+# disturbance chain) and one round of runner jobs (wire parse + packed step).
+go test -run '^$' \
+    -bench 'BenchmarkBusTransmitSlot|BenchmarkDiagRunnerRound' \
+    -benchmem -count="$COUNT" ./internal/tdma/ ./internal/sim/ | tee "$raw"
+fold_json < "$raw" > BENCH_layers.json
+echo "wrote BENCH_layers.json"
 
 go test -run '^$' \
     -bench 'BenchmarkVoteAll|BenchmarkVoteAllScalar|BenchmarkMatrixSetRow|BenchmarkStepBatch|BenchmarkScalarStep|BenchmarkCheckpointRestore' \
