@@ -11,10 +11,9 @@ import (
 // types below bit-slice G = ⌊64/N⌋ independent repetitions of the SAME
 // cluster shape into one word. Lane r occupies bits [r·N, (r+1)·N) of every
 // plane, so one carry-save vote pass, one penalty/reward sweep and one
-// alignment merge advance G Monte-Carlo runs at once. Per-run control flow
-// (self-column, read/send alignment, isolation state) is hoisted from
-// branches into lane-replicated masks; a run's fault outcome is a mask AND,
-// never an `if`.
+// alignment merge advance G Monte-Carlo runs at once. The phases themselves
+// are the shared lane-packed kernel (kernel.go) the per-run packed Protocol
+// runs with one lane.
 //
 // The batch path covers the diagnostic mode only (membership accusations are
 // per-run list-shaped state and stay on Protocol). Lane-exact equivalence
@@ -109,39 +108,19 @@ func (o *BatchRoundOutput) LaneReintegrated(lane, n int) uint64 {
 	return laneExtract(o.ReintegratedMask, lane, n)
 }
 
-// batchAlignBuf is alignBufP for a gang: one lane-packed presence mask and
-// lane-packed row/validity planes shared by all lanes.
-type batchAlignBuf struct {
-	rows []BitSyndrome
-	set  uint64
-	ls   BitSyndrome
-	al   BitSyndrome
-}
-
 // BatchProtocol runs one node's diagnostic job for G independent repetitions
 // at once (same Config — shape, id, l_i — in every lane; what differs per
 // lane is the observed inputs). Create one per node with NewBatchProtocol,
 // call StepBatch exactly once per TDMA round, and Reset(lanes) between
 // repetition gangs (ragged final gangs shrink the lane count).
+//
+// It runs the kernel whose one-lane case is Protocol's packed path
+// (laneKernel, voteAllLanes and a PenaltyReward holding G counter blocks)
+// with G lanes; what it keeps of its own is the lane-mask ⊥ fallback,
+// per-lane telemetry and SnapshotLane.
 type BatchProtocol struct {
-	cfg   Config
-	n     int
+	laneKernel
 	lanes int
-	steps int
-
-	// Lane-replicated masks, rebuilt by Reset: laneRep has bit r·N set for
-	// every live lane (the multiplicative lane replicator), allB covers every
-	// live lane's node bits, selfB is the node's own column in every lane,
-	// lowB/hiB split read alignment at l_i.
-	laneRep uint64
-	allB    uint64
-	selfB   uint64
-	lowB    uint64
-	laneAll uint64 // PlaneMask(n), one lane's segment
-
-	pbufs     [2]batchAlignBuf
-	lastSentB BitSyndrome
-	prevSentB BitSyndrome
 
 	// op/know are the gang diagnostic-matrix scratch (1-based rows). Unlike
 	// the per-run path the matrix is not part of the output contract, so the
@@ -150,7 +129,7 @@ type BatchProtocol struct {
 	op   []uint64
 	know []uint64
 
-	pr *batchPR
+	pr *PenaltyReward
 
 	// metrics holds the optional per-lane telemetry attachments
 	// (SetLaneMetrics); any is their non-nil disjunction.
@@ -180,8 +159,7 @@ func NewBatchProtocol(cfg Config, lanes int) (*BatchProtocol, error) {
 		return nil, fmt.Errorf("core: node %d: %d lanes of an N=%d system do not fit one word (1..%d)", cfg.ID, lanes, cfg.N, max)
 	}
 	p := &BatchProtocol{
-		cfg:        cfg,
-		n:          cfg.N,
+		laneKernel: laneKernel{cfg: cfg},
 		op:         make([]uint64, cfg.N+1),
 		know:       make([]uint64, cfg.N+1),
 		metrics:    make([]*StepMetrics, BatchLanes(cfg.N)),
@@ -191,10 +169,9 @@ func NewBatchProtocol(cfg Config, lanes int) (*BatchProtocol, error) {
 	for j := range p.snapAge {
 		p.snapAge[j] = accusationSkew + 1
 	}
-	p.pbufs[0].rows = make([]BitSyndrome, cfg.N+1)
-	p.pbufs[1].rows = make([]BitSyndrome, cfg.N+1)
+	p.allocBufs()
 	var err error
-	if p.pr, err = newBatchPR(cfg.N, BatchLanes(cfg.N), cfg.PR); err != nil {
+	if p.pr, err = newPenaltyReward(cfg.N, BatchLanes(cfg.N), cfg.PR); err != nil {
 		return nil, err
 	}
 	p.Reset(lanes)
@@ -211,59 +188,24 @@ func (p *BatchProtocol) Lanes() int { return p.lanes }
 // gang width for the next repetition group (ragged final gangs pass a
 // smaller width). It keeps all allocated buffers.
 func (p *BatchProtocol) Reset(lanes int) {
-	if max := BatchLanes(p.n); lanes < 1 || lanes > max {
+	if max := BatchLanes(p.cfg.N); lanes < 1 || lanes > max {
 		panic(fmt.Sprintf("core: node %d: Reset to %d lanes, want 1..%d", p.cfg.ID, lanes, max))
 	}
-	n := p.n
 	p.lanes = lanes
-	p.laneAll = PlaneMask(n)
-	p.laneRep = 0
-	for r := 0; r < lanes; r++ {
-		p.laneRep |= 1 << uint(r*n)
-	}
-	// Lane segments are disjoint, so replicating an n-bit mask into every
-	// live lane is a single multiply by the lane replicator (no carries).
-	p.allB = p.laneRep * p.laneAll
-	p.selfB = p.laneRep << uint(p.cfg.ID-1)
-	l := p.cfg.L
-	if p.cfg.Dynamic {
-		l = 0
-	}
-	p.lowB = p.laneRep * PlaneMask(l)
-
-	hw := BitSyndrome{Op: p.allB, Known: p.allB}
-	for b := range p.pbufs {
-		buf := &p.pbufs[b]
-		for j := 1; j <= n; j++ {
-			buf.rows[j] = hw
-		}
-		buf.set = p.allB
-		buf.ls, buf.al = hw, hw
-	}
-	p.lastSentB, p.prevSentB = hw, hw
-	p.steps = 0
+	p.resetLanes(lanes)
 	p.pr.reset(lanes)
 }
 
-// ownRowB is ownRowP for the gang: the lane-packed syndromes this node
-// physically transmitted in the previous round.
-func (p *BatchProtocol) ownRowB() BitSyndrome {
-	if p.cfg.SendCurrRound {
-		return p.lastSentB
-	}
-	return p.prevSentB
-}
-
 // StepBatch executes the diagnostic job of every lane for one round. It is
-// the gang form of StepPacked: each phase of Alg. 1 runs once on lane-packed
-// words and advances all lanes together. Rows stays caller-owned (entries
-// are copied by value) and may be reused immediately. The steady state
-// allocates nothing — the output is all values and the matrix scratch is
-// protocol-owned.
+// the gang form of StepPacked: the same kernel runs each phase of Alg. 1
+// once on lane-packed words and advances all lanes together. Rows stays
+// caller-owned (entries are copied by value) and may be reused immediately.
+// The steady state allocates nothing — the output is all values and the
+// matrix scratch is protocol-owned.
 //
 //ttdiag:noretain params
 func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) {
-	n := p.n
+	n := p.cfg.N
 	if want := p.cfg.StartRound + p.steps; in.Round != want {
 		return BatchRoundOutput{}, fmt.Errorf("core: node %d: StepBatch round %d, want %d", p.cfg.ID, in.Round, want)
 	}
@@ -271,25 +213,7 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 		return BatchRoundOutput{}, fmt.Errorf("core: node %d: Rows has %d entries, want %d", p.cfg.ID, len(in.Rows), n+1)
 	}
 	all := p.allB
-	present := in.Present & all
-	validity := in.Validity.normalized(all)
-
-	// rd was written in the previous round; wr becomes next round's rd.
-	rd := &p.pbufs[p.steps&1]
-	wr := &p.pbufs[(p.steps+1)&1]
-
-	// Phases 1 and 3 — read alignment (Alg. 1 lines 1-6): entries 1..l_i
-	// come from the previous read, the rest from the current one. All lanes
-	// share l_i (same Config), so the split is the same two mask merges as
-	// the per-run path, just over lane-replicated masks.
-	low := p.lowB
-	hi := all &^ low
-	alSet := (rd.set & low) | (present & hi)
-	alLS := BitSyndrome{
-		Op:    (rd.ls.Op & low) | (validity.Op & hi),
-		Known: (rd.ls.Known & low) | (validity.Known & hi),
-	}
-	wr.al = alLS
+	alSet, alLS := p.readAlign(in.Present, in.Validity)
 
 	out := BatchRoundOutput{Round: in.Round, DiagnosedRound: -1}
 
@@ -297,33 +221,7 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 	warm := p.steps >= p.cfg.Lag()
 	var diagRound int
 	if warm {
-		self := p.selfB
-		rowSet := (alSet &^ self) | self
-		l := p.cfg.L
-		if p.cfg.Dynamic {
-			l = 0
-		}
-		// Install the gang matrix: row j's lane segment is live iff lane r's
-		// rowSet bit for j is set; compressing those bits onto the lane
-		// replicator and multiplying by the segment mask expands per-lane row
-		// presence into a plane mask (fault outcome as mask AND, not branch).
-		for j := 1; j <= n; j++ {
-			var row BitSyndrome
-			switch {
-			case j == p.cfg.ID:
-				// Each lane's own row is its locally buffered copy of the
-				// syndrome it physically transmitted in round k-1 (Lemma 3).
-				row = p.ownRowB()
-			case j <= l:
-				row = rd.rows[j]
-			default:
-				row = in.Rows[j].normalized(all)
-			}
-			seg := ((rowSet >> uint(j-1)) & p.laneRep) * p.laneAll
-			p.op[j] = row.Op & row.Known & seg
-			p.know[j] = row.Known & seg
-		}
-
+		p.installRows(p.op, p.know, alSet, in.Rows)
 		consOp, consKnown := voteAllLanes(p.op, p.know, n, p.laneRep)
 
 		diagRound = in.Round - p.cfg.Lag()
@@ -347,16 +245,7 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 		out.Warm = true
 	}
 
-	// Phase 2 — dissemination (send alignment, Alg. 1 lines 7-10).
-	var outBits BitSyndrome
-	switch {
-	case p.cfg.AllSendCurrRound:
-		outBits = alLS
-	case p.cfg.SendCurrRound:
-		outBits = rd.al
-	default:
-		outBits = alLS
-	}
+	outBits := p.sendAlign(alLS)
 	out.SendOp, out.SendKnown = outBits.Op, outBits.Known
 
 	// Phase 5 — update counters (Alg. 1 line 15, Alg. 2): one masked sweep
@@ -366,47 +255,11 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 	}
 	out.ActiveMask = p.pr.activeMask
 
-	// Buffering for the next round (Alg. 1 lines 16-17). Absent lane
-	// segments of a row may retain garbage — every read masks them out via
-	// the presence bits, exactly like the per-run set mask.
-	wr.set = present
-	for j := 1; j <= n; j++ {
-		wr.rows[j] = in.Rows[j].normalized(all)
-	}
-	wr.ls = validity
-	p.prevSentB = p.lastSentB
-	p.lastSentB = outBits
+	p.endRound(in.Present, in.Validity, in.Rows, outBits)
 	if p.anyMetrics {
 		p.emitMetrics(&out, warm, diagRound)
 	}
-	p.steps++
 	return out, nil
-}
-
-// voteAllLanes is the gang vote kernel: one carry-save pass over every
-// lane's every column, identical to Matrix.voteAllPlanes except the
-// self-column mask is replicated into every lane by laneRep. op/know are the
-// 1-based gang matrix planes, already restricted to the live lanes (absent
-// rows carry zero know segments). Per-column counts stay ≤ N-1 ≤ 63, so the
-// six counter planes cover every lane at once. Lane-exact equivalence with
-// the per-run kernel is pinned by FuzzVoteAllBatch.
-func voteAllLanes(op, know []uint64, n int, laneRep uint64) (consOp, consKnown uint64) {
-	var healthy, faulty [countPlanes]uint64
-	var any uint64
-	for i := 1; i <= n; i++ {
-		valid := know[i] &^ (laneRep << uint(i-1))
-		if valid == 0 {
-			continue
-		}
-		any |= valid
-		addPlane(&healthy, op[i]&valid)
-		addPlane(&faulty, valid&^op[i])
-	}
-	var borrow uint64
-	for k := 0; k < countPlanes; k++ {
-		borrow = (^healthy[k] & (faulty[k] | borrow)) | (faulty[k] & borrow)
-	}
-	return any &^ borrow, any
 }
 
 // SetLaneMetrics attaches (or, with nil, detaches) per-lane telemetry; lane
@@ -426,7 +279,7 @@ func (p *BatchProtocol) SetLaneMetrics(lane int, m *StepMetrics) {
 // emitMetrics mirrors emitStepMetrics per attached lane, reading the lane's
 // segments of the gang matrix and counters.
 func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound int) {
-	n := p.n
+	n := p.cfg.N
 	for lane := 0; lane < p.lanes; lane++ {
 		m := p.metrics[lane]
 		if m == nil {
@@ -454,17 +307,7 @@ func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound 
 					faulty++
 				}
 			}
-			switch {
-			case faulty+healthy == 0:
-				m.VotesBottom.Inc()
-			case faulty > healthy:
-				m.VotesFaulty.Inc()
-			default:
-				m.VotesHealthy.Inc()
-				if faulty == healthy && faulty > 0 {
-					m.VotesTied.Inc()
-				}
-			}
+			m.observeVote(faulty, healthy)
 		}
 		var disagreements int
 		for i := 1; i <= n; i++ {
@@ -477,37 +320,24 @@ func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound 
 			disagreements += bits.OnesCount64(conflict)
 		}
 		m.Disagreements.Add(int64(disagreements))
-		base := lane * (n + 1)
-		var maxPen int64
-		for j := 1; j <= n; j++ {
-			if v := p.pr.penalties[base+j]; v > maxPen {
-				maxPen = v
-			}
-		}
-		m.PenaltyMax.Observe(maxPen)
-		if m.PenaltySeries != nil {
-			round := int64(diagRound)
-			for j := 1; j <= n && j < len(m.PenaltySeries); j++ {
-				m.PenaltySeries[j].Append(round, p.pr.penalties[base+j])
-			}
-		}
+		m.observePenalties(p.pr.snapshot(lane).Penalties, diagRound)
 	}
 }
 
 // LanePenalty returns lane `lane`'s penalty counter of node j.
 func (p *BatchProtocol) LanePenalty(lane, j int) int64 {
-	if j < 1 || j > p.n {
+	if j < 1 || j > p.cfg.N {
 		return 0
 	}
-	return p.pr.penalties[lane*(p.n+1)+j]
+	return p.pr.penalties[lane*(p.cfg.N+1)+j]
 }
 
 // LaneActive reports whether node j is active in lane `lane`.
 func (p *BatchProtocol) LaneActive(lane, j int) bool {
-	if j < 1 || j > p.n {
+	if j < 1 || j > p.cfg.N {
 		return false
 	}
-	return p.pr.active[lane*(p.n+1)+j]
+	return p.pr.active[lane*(p.cfg.N+1)+j]
 }
 
 // SnapshotLane serialises lane `lane`'s full protocol state to JSON,
@@ -517,167 +347,5 @@ func (p *BatchProtocol) SnapshotLane(lane int) ([]byte, error) {
 	if lane < 0 || lane >= p.lanes {
 		return nil, fmt.Errorf("core: node %d: snapshot of lane %d, want 0..%d", p.cfg.ID, lane, p.lanes-1)
 	}
-	n := p.n
-	base := lane * (n + 1)
-	snap := protocolSnapshot{
-		Config:     p.cfg,
-		Steps:      p.steps,
-		LastSent:   p.laneSyndrome(p.lastSentB, lane),
-		PrevSent:   p.laneSyndrome(p.prevSentB, lane),
-		Accuse:     p.snapAccuse,
-		AccusedAge: p.snapAge,
-		PR: prSnapshot{
-			Penalties: p.pr.penalties[base : base+n+1 : base+n+1],
-			Rewards:   p.pr.rewards[base : base+n+1 : base+n+1],
-			Active:    p.pr.active[base : base+n+1 : base+n+1],
-			Observe:   p.pr.observe[base : base+n+1 : base+n+1],
-		},
-	}
-	rd := &p.pbufs[p.steps&1]
-	snap.PrevLS = p.laneSyndrome(rd.ls, lane)
-	snap.PrevAlLS = p.laneSyndrome(rd.al, lane)
-	snap.PrevDM = make(map[int]Syndrome)
-	for j := 1; j <= n; j++ {
-		if rd.set&(1<<uint(lane*n+j-1)) != 0 {
-			snap.PrevDM[j] = p.laneSyndrome(rd.rows[j], lane)
-		}
-	}
-	return json.Marshal(snap)
-}
-
-// laneSyndrome materialises lane `lane`'s segment of a lane-packed syndrome.
-func (p *BatchProtocol) laneSyndrome(b BitSyndrome, lane int) Syndrome {
-	n := p.n
-	return BitSyndrome{
-		Op:    laneExtract(b.Op, lane, n),
-		Known: laneExtract(b.Known, lane, n),
-	}.Unpack(n)
-}
-
-// batchPR is the gang form of PenaltyReward: the counters of every lane live
-// in flat slices indexed lane·(N+1)+j — each lane's block has the exact
-// layout of the per-run counter slices, so SnapshotLane can expose them
-// without copying — and the activity/attention masks are lane-packed.
-type batchPR struct {
-	cfg       PRConfig
-	n         int
-	lanes     int
-	penalties []int64
-	rewards   []int64
-	observe   []int64
-	active    []bool
-	// activeMask mirrors active[] lane-packed (bit r·N + j-1); attention
-	// marks the nodes for which a Healthy verdict is not a no-op, exactly as
-	// on the per-run path but across all lanes at once.
-	activeMask uint64
-	attention  uint64
-}
-
-func newBatchPR(n, maxLanes int, cfg PRConfig) (*batchPR, error) {
-	if err := cfg.Validate(n); err != nil {
-		return nil, err
-	}
-	w := maxLanes * (n + 1)
-	return &batchPR{
-		cfg:       cfg,
-		n:         n,
-		penalties: make([]int64, w),
-		rewards:   make([]int64, w),
-		observe:   make([]int64, w),
-		active:    make([]bool, w),
-	}, nil
-}
-
-func (b *batchPR) reset(lanes int) {
-	b.lanes = lanes
-	b.activeMask = 0
-	b.attention = 0
-	for r := 0; r < lanes; r++ {
-		base := r * (b.n + 1)
-		b.active[base] = false
-		for j := 1; j <= b.n; j++ {
-			b.penalties[base+j] = 0
-			b.rewards[base+j] = 0
-			b.observe[base+j] = 0
-			b.active[base+j] = true
-		}
-		b.activeMask |= PlaneMask(b.n) << uint(r*b.n)
-	}
-}
-
-// updateMasked applies one round's lane-packed faulty columns (Alg. 2 across
-// the gang): only bits in faultyMask ∪ attention are visited — ascending bit
-// order is lane-major, and within each lane matches the per-run ascending
-// node order, so every lane's counter trajectory is identical to its per-run
-// instance.
-func (b *batchPR) updateMasked(faultyMask uint64) (isolated, reintegrated uint64) {
-	for rem := faultyMask | b.attention; rem != 0; rem &= rem - 1 {
-		pos := bits.TrailingZeros64(rem)
-		health := Healthy
-		if faultyMask&(rem&-rem) != 0 {
-			health = Faulty
-		}
-		iso, reint := b.updateNode(pos, health)
-		if iso {
-			isolated |= 1 << uint(pos)
-		}
-		if reint {
-			reintegrated |= 1 << uint(pos)
-		}
-	}
-	return isolated, reintegrated
-}
-
-// updateNode applies one verdict to the node at lane-packed bit position pos,
-// mirroring PenaltyReward.updateNode + syncMask.
-func (b *batchPR) updateNode(pos int, health Opinion) (isolated, reintegrated bool) {
-	j := pos%b.n + 1
-	i := (pos/b.n)*(b.n+1) + j
-	bit := uint64(1) << uint(pos)
-	if !b.active[i] {
-		// Extension: observation of isolated nodes.
-		if b.cfg.ReintegrationThreshold > 0 {
-			if health == Faulty {
-				b.observe[i] = 0
-				return false, false
-			}
-			b.observe[i]++
-			if b.observe[i] >= b.cfg.ReintegrationThreshold {
-				b.active[i] = true
-				b.penalties[i] = 0
-				b.rewards[i] = 0
-				b.observe[i] = 0
-				b.activeMask |= bit
-				b.attention &^= bit
-				return false, true
-			}
-		}
-		return false, false
-	}
-	if health == Faulty {
-		b.penalties[i] += b.cfg.criticality(j)
-		b.rewards[i] = 0
-		if b.penalties[i] > b.cfg.PenaltyThreshold {
-			b.active[i] = false
-			b.observe[i] = 0
-			b.activeMask &^= bit
-			if b.cfg.ReintegrationThreshold > 0 {
-				b.attention |= bit
-			} else {
-				b.attention &^= bit
-			}
-			return true, false
-		}
-		b.attention |= bit
-		return false, false
-	}
-	if b.penalties[i] > 0 {
-		b.rewards[i]++
-		if b.rewards[i] >= b.cfg.RewardThreshold {
-			b.penalties[i] = 0
-			b.rewards[i] = 0
-			b.attention &^= bit
-		}
-	}
-	return false, false
+	return json.Marshal(p.snapshot(lane, p.pr, p.snapAccuse, p.snapAge))
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"ttdiag/internal/rng"
 )
 
 // FuzzDecodeSyndrome checks that decoding never panics and that every
@@ -136,6 +138,75 @@ func FuzzProtocolStep(f *testing.F) {
 						t.Fatalf("round %d: undecided entry %d", round, j)
 					}
 				}
+			}
+		}
+	})
+}
+
+// FuzzRestoreProtocol feeds arbitrary bytes to the checkpoint decoder. Every
+// input must be rejected with an error or restore without panicking; a
+// restored protocol's snapshot must be a fixed point of one more
+// restore/snapshot pass, and the protocol must step three rounds. Seeds are
+// snapshots of packed N=4 and N=64, membership-mode and scalar N=65
+// protocols taken at several rounds.
+func FuzzRestoreProtocol(f *testing.F) {
+	pr := PRConfig{PenaltyThreshold: 1, RewardThreshold: 2, ReintegrationThreshold: 3}
+	for _, cfg := range []Config{
+		{N: 4, ID: 2, L: 3, PR: pr},
+		{N: 64, ID: 1, L: 0, SendCurrRound: true, Dynamic: true, PR: pr},
+		{N: 7, ID: 4, L: 3, SendCurrRound: true, AllSendCurrRound: true, Mode: ModeMembership, StartRound: 5, PR: pr},
+		{N: 65, ID: 3, L: 2, SendCurrRound: true, PR: pr},
+	} {
+		p, err := NewProtocol(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		st := rng.NewStream(int64(cfg.N))
+		for r := 0; r < 9; r++ {
+			if r%4 == 0 {
+				data, err := p.Snapshot()
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(data)
+			}
+			if _, err := p.Step(randomStepInput(st, cfg.N, cfg.StartRound+r)); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := RestoreProtocol(data)
+		if err != nil {
+			return
+		}
+		first, err := p.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot of a restored protocol: %v", err)
+		}
+		again, err := RestoreProtocol(first)
+		if err != nil {
+			t.Fatalf("snapshot of a restored protocol rejected: %v\n%s", err, first)
+		}
+		second, err := again.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("restore/snapshot is not idempotent:\nfirst  %s\nsecond %s", first, second)
+		}
+		n := p.Config().N
+		for r := 0; r < 3; r++ {
+			in := RoundInput{
+				Round:    p.Config().StartRound + p.steps,
+				DMs:      make([]Syndrome, n+1),
+				Validity: NewSyndrome(n, Healthy),
+			}
+			for j := 1; j <= n; j += 2 {
+				in.DMs[j] = NewSyndrome(n, Healthy)
+			}
+			if _, err := p.Step(in); err != nil {
+				t.Fatalf("step %d after restore: %v", r, err)
 			}
 		}
 	})

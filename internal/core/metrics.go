@@ -87,35 +87,43 @@ func (p *Protocol) emitStepMetrics(out *RoundOutput, matrix *Matrix, warm bool) 
 	if !warm || matrix == nil {
 		return
 	}
-	n := p.cfg.N
-	for j := 1; j <= n; j++ {
-		faulty, healthy := matrix.Tally(j)
-		switch {
-		case faulty+healthy == 0:
-			m.VotesBottom.Inc()
-		case faulty > healthy:
-			m.VotesFaulty.Inc()
-		default:
-			m.VotesHealthy.Inc()
-			if faulty == healthy && faulty > 0 {
-				m.VotesTied.Inc()
-			}
-		}
+	for j := 1; j <= p.cfg.N; j++ {
+		m.observeVote(matrix.Tally(j))
 	}
 	if out.ConsHV != nil {
 		m.Disagreements.Add(int64(matrix.DisagreementCount(out.ConsHV)))
 	}
-	var maxPen int64
-	for j := 1; j <= n; j++ {
-		if v := p.pr.penalties[j]; v > maxPen {
-			maxPen = v
+	m.observePenalties(p.pr.snapshot(0).Penalties, out.DiagnosedRound)
+}
+
+// observeVote classifies one column's H-maj tally (Eqn. 1): ⊥ when there
+// are no opinions, Faulty on a strict majority, Healthy otherwise.
+func (m *StepMetrics) observeVote(faulty, healthy int) {
+	switch {
+	case faulty+healthy == 0:
+		m.VotesBottom.Inc()
+	case faulty > healthy:
+		m.VotesFaulty.Inc()
+	default:
+		m.VotesHealthy.Inc()
+		if faulty == healthy && faulty > 0 {
+			m.VotesTied.Inc()
 		}
+	}
+}
+
+// observePenalties records the high watermark and, when attached, the
+// trajectory points of one run's penalty counters (1-based).
+func (m *StepMetrics) observePenalties(penalties []int64, diagRound int) {
+	var maxPen int64
+	for _, v := range penalties[1:] {
+		maxPen = max(maxPen, v)
 	}
 	m.PenaltyMax.Observe(maxPen)
 	if m.PenaltySeries != nil {
-		round := int64(out.DiagnosedRound)
-		for j := 1; j <= n && j < len(m.PenaltySeries); j++ {
-			m.PenaltySeries[j].Append(round, p.pr.penalties[j])
+		round := int64(diagRound)
+		for j := 1; j < len(penalties) && j < len(m.PenaltySeries); j++ {
+			m.PenaltySeries[j].Append(round, penalties[j])
 		}
 	}
 }

@@ -60,6 +60,13 @@ func (c PRConfig) criticality(j int) int64 {
 // isolation. Because every obedient node feeds it the same (consistently
 // agreed) health vectors, all obedient nodes take identical isolation
 // decisions in the same round.
+//
+// The counters of G lanes (independent runs of the same node, see
+// BatchProtocol) live in flat slices indexed lane·(N+1)+j: each lane's block
+// has the exact layout of a one-lane instance, which is what NewPenaltyReward
+// builds and what the exported accessors read. Within the packed bound the
+// activity and attention masks are lane-packed (bit lane·N + j-1); beyond it
+// the instance is one unmasked lane.
 type PenaltyReward struct {
 	cfg       PRConfig
 	n         int
@@ -69,9 +76,7 @@ type PenaltyReward struct {
 	// observe counts consecutive fault-free rounds of isolated nodes for
 	// the optional reintegration extension.
 	observe []int64
-	// masked enables the word-mask bookkeeping below (n <= MaxPackedN).
-	masked bool
-	// activeMask mirrors active[] as a bit mask (bit j-1 = node j).
+	// activeMask mirrors active[] as a bit mask (n <= MaxPackedN only).
 	activeMask uint64
 	// attention marks the nodes for which a Healthy verdict is not a no-op:
 	// active nodes paying off a penalty (rewards must advance) and isolated
@@ -87,40 +92,47 @@ func NewPenaltyReward(n int, cfg PRConfig) (*PenaltyReward, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: penalty/reward needs n >= 1, got %d", n)
 	}
+	return newPenaltyReward(n, 1, cfg)
+}
+
+// newPenaltyReward builds the state of maxLanes lanes, with one live lane.
+func newPenaltyReward(n, maxLanes int, cfg PRConfig) (*PenaltyReward, error) {
 	if err := cfg.Validate(n); err != nil {
 		return nil, err
 	}
+	w := maxLanes * (n + 1)
 	pr := &PenaltyReward{
 		cfg:       cfg,
 		n:         n,
-		penalties: make([]int64, n+1),
-		rewards:   make([]int64, n+1),
-		active:    make([]bool, n+1),
-		observe:   make([]int64, n+1),
+		penalties: make([]int64, w),
+		rewards:   make([]int64, w),
+		active:    make([]bool, w),
+		observe:   make([]int64, w),
 	}
-	for j := 1; j <= n; j++ {
-		pr.active[j] = true
-	}
-	pr.masked = n <= MaxPackedN
-	if pr.masked {
-		pr.activeMask = PlaneMask(n)
-	}
+	pr.reset(1)
 	return pr, nil
 }
 
 // Reset zeroes all counters and returns every node to active, restoring the
 // freshly constructed state while keeping the allocated counter slices.
-func (pr *PenaltyReward) Reset() {
-	for j := 1; j <= pr.n; j++ {
-		pr.penalties[j] = 0
-		pr.rewards[j] = 0
-		pr.observe[j] = 0
-		pr.active[j] = true
+func (pr *PenaltyReward) Reset() { pr.reset(1) }
+
+// reset is Reset for the first `lanes` lanes, which become the live ones.
+func (pr *PenaltyReward) reset(lanes int) {
+	pr.activeMask, pr.attention = 0, 0
+	for r := 0; r < lanes; r++ {
+		base := r * (pr.n + 1)
+		pr.active[base] = false
+		for j := 1; j <= pr.n; j++ {
+			pr.penalties[base+j] = 0
+			pr.rewards[base+j] = 0
+			pr.observe[base+j] = 0
+			pr.active[base+j] = true
+		}
+		if pr.n <= MaxPackedN {
+			pr.activeMask |= PlaneMask(pr.n) << uint(r*pr.n)
+		}
 	}
-	if pr.masked {
-		pr.activeMask = PlaneMask(pr.n)
-	}
-	pr.attention = 0
 }
 
 // ResetConfig swaps in a new tuning configuration and resets all counters.
@@ -134,6 +146,20 @@ func (pr *PenaltyReward) ResetConfig(cfg PRConfig) error {
 	return nil
 }
 
+// copyFrom overwrites pr's counters and masks with src's. Both must be sized
+// for the same n and lane capacity. The config is copied by value; its
+// Criticalities slice — the only reference field — is read-only after
+// validation, so sharing the header is safe.
+func (pr *PenaltyReward) copyFrom(src *PenaltyReward) {
+	pr.cfg = src.cfg
+	copy(pr.penalties, src.penalties)
+	copy(pr.rewards, src.rewards)
+	copy(pr.active, src.active)
+	copy(pr.observe, src.observe)
+	pr.activeMask = src.activeMask
+	pr.attention = src.attention
+}
+
 // Update applies one consistent health vector (Alg. 2) and folds the result
 // into the activity vector (Alg. 1 line 15: active ← active AND curr_act).
 // It returns the nodes that transitioned in this round: isolated lists nodes
@@ -144,7 +170,7 @@ func (pr *PenaltyReward) Update(consHV Syndrome) (isolated, reintegrated []int, 
 		return nil, nil, fmt.Errorf("core: health vector covers %d nodes, want %d", consHV.N(), pr.n)
 	}
 	for i := 1; i <= pr.n; i++ {
-		iso, reint := pr.UpdateNode(i, consHV[i])
+		iso, reint := pr.updateNode(i, i, pr.bit(i), consHV[i])
 		if iso {
 			isolated = append(isolated, i)
 		}
@@ -163,71 +189,55 @@ func (pr *PenaltyReward) UpdateNode(i int, health Opinion) (isolated, reintegrat
 	if i < 1 || i > pr.n {
 		return false, false
 	}
-	isolated, reintegrated = pr.updateNode(i, health)
-	pr.syncMask(i)
-	return isolated, reintegrated
+	return pr.updateNode(i, i, pr.bit(i), health)
 }
 
-// updateMasked is Update on a packed health vector: faultyMask marks the
-// columns the consistent health vector holds Faulty (every other column is
+// bit is node j's one-lane mask bit; zero beyond the packed bound, where
+// the instance keeps no masks.
+func (pr *PenaltyReward) bit(j int) uint64 {
+	if pr.n > MaxPackedN {
+		return 0
+	}
+	return 1 << uint(j-1)
+}
+
+// updateMasked is Update on lane-packed health vectors: faultyMask marks the
+// columns the consistent health vectors hold Faulty (every other column is
 // Healthy — the fallback of Alg. 1 line 14 leaves no ⊥ entries). Only the
 // faulty columns and the attention set are visited; for every other node the
 // verdict is Healthy and the update is a no-op by construction (active with
 // a zero penalty, or isolated without the reintegration extension).
-func (pr *PenaltyReward) updateMasked(faultyMask uint64) (isolated, reintegrated []int) {
+// Ascending bit order is lane-major and, within a lane, ascending node
+// order, so every lane's counter trajectory is that of a one-lane instance.
+func (pr *PenaltyReward) updateMasked(faultyMask uint64) (isolated, reintegrated uint64) {
+	// lo is the first bit of the current lane and base its counter block;
+	// the bits arrive in ascending order, so the lane only moves forward.
+	lo, base := 0, 0
 	for rem := faultyMask | pr.attention; rem != 0; rem &= rem - 1 {
-		i := bits.TrailingZeros64(rem) + 1
+		pos, bit := bits.TrailingZeros64(rem), rem&-rem
+		for pos >= lo+pr.n {
+			lo, base = lo+pr.n, base+pr.n+1
+		}
 		health := Healthy
-		if faultyMask&(rem&-rem) != 0 {
+		if faultyMask&bit != 0 {
 			health = Faulty
 		}
-		iso, reint := pr.updateNode(i, health)
-		pr.syncMask(i)
+		j := pos - lo + 1
+		iso, reint := pr.updateNode(base+j, j, bit, health)
 		if iso {
-			isolated = append(isolated, i)
+			isolated |= bit
 		}
 		if reint {
-			reintegrated = append(reintegrated, i)
+			reintegrated |= bit
 		}
 	}
 	return isolated, reintegrated
 }
 
-// syncMask refreshes node i's bits in activeMask and attention after a
-// counter update.
-func (pr *PenaltyReward) syncMask(i int) {
-	if !pr.masked {
-		return
-	}
-	bit := uint64(1) << uint(i-1)
-	if pr.active[i] {
-		pr.activeMask |= bit
-	} else {
-		pr.activeMask &^= bit
-	}
-	needs := !pr.active[i] && pr.cfg.ReintegrationThreshold > 0 ||
-		pr.active[i] && pr.penalties[i] > 0
-	if needs {
-		pr.attention |= bit
-	} else {
-		pr.attention &^= bit
-	}
-}
-
-// rebuildMasks recomputes activeMask and attention from the counter slices
-// (used after a snapshot restore replaces them).
-func (pr *PenaltyReward) rebuildMasks() {
-	pr.activeMask, pr.attention = 0, 0
-	if !pr.masked {
-		return
-	}
-	for i := 1; i <= pr.n; i++ {
-		pr.syncMask(i)
-	}
-}
-
-// updateNode is UpdateNode without the mask bookkeeping.
-func (pr *PenaltyReward) updateNode(i int, health Opinion) (isolated, reintegrated bool) {
+// updateNode applies one verdict to node j, whose counters sit at index i
+// (lane·(N+1)+j) and whose activity and attention bit is bit (zero when the
+// instance keeps no masks), and keeps the masks in step.
+func (pr *PenaltyReward) updateNode(i, j int, bit uint64, health Opinion) (isolated, reintegrated bool) {
 	if !pr.active[i] {
 		// Extension: observation of isolated nodes.
 		if pr.cfg.ReintegrationThreshold > 0 {
@@ -241,19 +251,28 @@ func (pr *PenaltyReward) updateNode(i int, health Opinion) (isolated, reintegrat
 				pr.penalties[i] = 0
 				pr.rewards[i] = 0
 				pr.observe[i] = 0
+				pr.activeMask |= bit
+				pr.attention &^= bit
 				return false, true
 			}
 		}
 		return false, false
 	}
 	if health == Faulty {
-		pr.penalties[i] += pr.cfg.criticality(i)
+		pr.penalties[i] += pr.cfg.criticality(j)
 		pr.rewards[i] = 0
 		if pr.penalties[i] > pr.cfg.PenaltyThreshold {
 			pr.active[i] = false
 			pr.observe[i] = 0
+			pr.activeMask &^= bit
+			if pr.cfg.ReintegrationThreshold > 0 {
+				pr.attention |= bit
+			} else {
+				pr.attention &^= bit
+			}
 			return true, false
 		}
+		pr.attention |= bit
 		return false, false
 	}
 	if pr.penalties[i] > 0 {
@@ -261,9 +280,25 @@ func (pr *PenaltyReward) updateNode(i int, health Opinion) (isolated, reintegrat
 		if pr.rewards[i] >= pr.cfg.RewardThreshold {
 			pr.penalties[i] = 0
 			pr.rewards[i] = 0
+			pr.attention &^= bit
 		}
 	}
 	return false, false
+}
+
+// rebuildMasks recomputes a one-lane instance's activeMask and attention
+// from its counter slices (used after a snapshot restore replaces them).
+func (pr *PenaltyReward) rebuildMasks() {
+	pr.activeMask, pr.attention = 0, 0
+	for j := 1; j <= pr.n; j++ {
+		bit := pr.bit(j)
+		if pr.active[j] {
+			pr.activeMask |= bit
+		}
+		if !pr.active[j] && pr.cfg.ReintegrationThreshold > 0 || pr.active[j] && pr.penalties[j] > 0 {
+			pr.attention |= bit
+		}
+	}
 }
 
 // Active returns a copy of the activity vector (1-based).

@@ -233,36 +233,6 @@ func newAlignBuf(n int) alignBuf {
 	return b
 }
 
-// alignBufP is the packed form of alignBuf: per-variable two-word syndromes
-// plus one presence mask instead of byte vectors and a bool slice. rows[j]
-// is meaningful only when set bit j-1 holds.
-type alignBufP struct {
-	rows []BitSyndrome
-	set  uint64
-	ls   BitSyndrome
-	al   BitSyndrome
-}
-
-func newAlignBufP(n int) alignBufP {
-	b := alignBufP{rows: make([]BitSyndrome, n+1)}
-	hw := bitSyndromeAllHealthy(n)
-	for j := 1; j <= n; j++ {
-		b.rows[j] = hw
-	}
-	b.set = PlaneMask(n)
-	b.ls, b.al = hw, hw
-	return b
-}
-
-func (b *alignBufP) reset(n int) {
-	hw := bitSyndromeAllHealthy(n)
-	for j := 1; j <= n; j++ {
-		b.rows[j] = hw
-	}
-	b.set = PlaneMask(n)
-	b.ls, b.al = hw, hw
-}
-
 // outputRing is the number of RoundOutput slots a Protocol cycles through:
 // round k writes slot k%outputRing, so every reference a RoundOutput
 // carries stays valid for exactly the next outputRing-1 Steps.
@@ -325,17 +295,42 @@ type scalarState struct {
 	// alias the previous round's buffer or the caller's input and never
 	// escape: the diagnostic matrix copies every row it is given.
 	alDM []Syndrome
+	// lastSent / prevSent are the dissemination payloads of the previous
+	// two rounds (see laneKernel): protocol-owned copies, never aliases of
+	// an output.
+	lastSent Syndrome
+	prevSent Syndrome
+}
+
+// recordSent shifts the dissemination history by one round: prevSent takes
+// over lastSent's buffer, and the syndrome just sent is copied into the
+// other one.
+func (s *scalarState) recordSent(sent Syndrome) {
+	s.prevSent, s.lastSent = s.lastSent, s.prevSent
+	copy(s.lastSent, sent)
+}
+
+// ownRow is laneKernel.ownRow on the scalar history.
+func (s *scalarState) ownRow(sendCurrRound bool) Syndrome {
+	if sendCurrRound {
+		return s.lastSent
+	}
+	return s.prevSent
 }
 
 // Protocol is the per-node diagnostic job state machine (Alg. 1). Create one
 // per node with NewProtocol and call Step exactly once per TDMA round.
 //
 // Systems within the packed bound (N <= MaxPackedN) run the bit-plane hot
-// path: alignment state, matrix rows, voting and the activity update all
-// operate on machine words, and StepPacked accepts the round input in packed
-// form directly. Step remains fully supported (it packs its scalar input and
-// delegates), wider systems transparently use the scalar reference path, and
-// both paths produce identical outputs and snapshot bytes.
+// path, the one-lane case of the kernel BatchProtocol runs with G lanes:
+// alignment state, matrix rows, voting and the activity update all operate
+// on machine words, and StepPacked accepts the round input in packed form
+// directly. What stays per run is the membership accusations (between the
+// vote and dissemination), the ⊥ fallback through CollisionFn, the output
+// ring and the causal trace. Step remains fully supported (it packs its
+// scalar input and delegates), wider systems transparently use the scalar
+// reference path, and both paths produce identical outputs and snapshot
+// bytes.
 //
 // Buffer ownership: Step copies its inputs into protocol-owned scratch
 // (callers may reuse RoundInput slices immediately). Everything a
@@ -345,9 +340,11 @@ type scalarState struct {
 // (Syndrome.Clone, Matrix.Clone). The scalar reference path still allocates
 // its matrix and syndromes per round.
 type Protocol struct {
-	cfg   Config
-	pr    *PenaltyReward
-	steps int
+	// laneKernel holds the configuration, the round cursor and, on the
+	// packed path, the alignment state and dissemination history (one
+	// lane). The scalar path keeps its own in scalar.
+	laneKernel
+	pr *PenaltyReward
 
 	// metrics is the optional telemetry attachment (SetMetrics); nil — the
 	// default — costs one branch per Step. It survives Reset/ResetConfig so
@@ -362,25 +359,13 @@ type Protocol struct {
 	// N <= MaxPackedN (tests force it off to exercise the scalar reference).
 	packed bool
 
-	// pbufs double-buffers the read/send-alignment state of the packed
-	// path: round k reads pbufs[k%2] (written in round k-1) and writes
-	// pbufs[(k+1)%2]. scalar holds the scalar equivalent; only the
-	// representation in use is allocated.
-	pbufs  [2]alignBufP
+	// scalar holds the scalar path's alignment state and history; nil on
+	// the packed path.
 	scalar *scalarState
 	// inRows is the packed path's scratch for Step's scalar-to-packed input
 	// conversion, allocated by the first Step (StepPacked callers provide
 	// their own rows and never need it).
 	inRows []BitSyndrome
-	// lastSent / prevSent are the dissemination payloads of the previous
-	// two rounds; the one physically transmitted in round k-1 is this
-	// node's own row of the diagnostic matrix. Both are protocol-owned
-	// copies, never aliases of an output. The packed path keeps the plane
-	// forms alongside (the scalar forms stay current for snapshots).
-	lastSent  Syndrome
-	prevSent  Syndrome
-	lastSentP BitSyndrome
-	prevSentP BitSyndrome
 	// ring holds the matrix headers of the output ring (see outputRing),
 	// and ringSyn, ringSend and ringActive back the slots' other references
 	// (see slot).
@@ -432,28 +417,27 @@ func newProtocol(cfg Config, packed bool) (*Protocol, error) {
 		return nil, err
 	}
 	p := &Protocol{
-		cfg:        cfg,
+		laneKernel: laneKernel{cfg: cfg},
 		pr:         pr,
 		packed:     packed,
-		lastSent:   NewSyndrome(cfg.N, Healthy),
-		prevSent:   NewSyndrome(cfg.N, Healthy),
 		accuse:     make([]int, cfg.N+1),
 		accusedAge: make([]int, cfg.N+1),
 	}
 	if packed {
-		p.pbufs = [2]alignBufP{newAlignBufP(cfg.N), newAlignBufP(cfg.N)}
-		p.lastSentP = bitSyndromeAllHealthy(cfg.N)
-		p.prevSentP = bitSyndromeAllHealthy(cfg.N)
+		p.allocBufs()
 	} else {
 		p.scalar = &scalarState{
-			bufs: [2]alignBuf{newAlignBuf(cfg.N), newAlignBuf(cfg.N)},
-			alDM: make([]Syndrome, cfg.N+1),
+			bufs:     [2]alignBuf{newAlignBuf(cfg.N), newAlignBuf(cfg.N)},
+			alDM:     make([]Syndrome, cfg.N+1),
+			lastSent: NewSyndrome(cfg.N, Healthy),
+			prevSent: NewSyndrome(cfg.N, Healthy),
 		}
 	}
 	p.initRing()
 	for j := range p.accusedAge {
 		p.accusedAge[j] = accusationSkew + 1
 	}
+	p.resetLanes(1)
 	return p, nil
 }
 
@@ -464,12 +448,11 @@ func newProtocol(cfg Config, packed bool) (*Protocol, error) {
 // the next three Steps after their own, counted across the Reset.
 func (p *Protocol) Reset() {
 	n := p.cfg.N
-	if p.packed {
-		p.pbufs[0].reset(n)
-		p.pbufs[1].reset(n)
-		p.lastSentP = bitSyndromeAllHealthy(n)
-		p.prevSentP = bitSyndromeAllHealthy(n)
-	} else {
+	p.resetLanes(1)
+	if !p.packed {
+		for j := 1; j <= n; j++ {
+			p.scalar.lastSent[j], p.scalar.prevSent[j] = Healthy, Healthy
+		}
 		for b := range p.scalar.bufs {
 			buf := &p.scalar.bufs[b]
 			for j := 1; j <= n; j++ {
@@ -482,16 +465,12 @@ func (p *Protocol) Reset() {
 			}
 		}
 	}
-	for j := 1; j <= n; j++ {
-		p.lastSent[j], p.prevSent[j] = Healthy, Healthy
-	}
 	for j := range p.accuse {
 		p.accuse[j] = 0
 		p.accusedAge[j] = accusationSkew + 1
 	}
 	p.accuseMask, p.agingMask = 0, 0
 	p.invPrevActive = nil
-	p.steps = 0
 	p.pr.Reset()
 	if p.trace != nil {
 		p.trace.resync(p.pr)
@@ -602,44 +581,23 @@ func (p *Protocol) StepPacked(in PackedRoundInput) (RoundOutput, error) {
 	return p.stepPacked(in)
 }
 
-// stepPacked is the bit-plane diagnostic job: every phase of Alg. 1 operates
-// on word masks, and its outputs go into the round's ring slot, so the warm
-// path allocates nothing. It is step-for-step equivalent to stepScalar
-// (pinned by the differential tests in packed_equivalence_test.go).
+// stepPacked is the bit-plane diagnostic job: the one-lane case of the
+// kernel StepBatch runs, with the per-run phases — ⊥ fallback through the
+// collision detector, membership accusations, the output ring — around it.
+// Its outputs go into the round's ring slot, so the warm path allocates
+// nothing. It is step-for-step equivalent to stepScalar (pinned by the
+// differential tests in packed_equivalence_test.go).
 //
 //ttdiag:noretain
 func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
-	n := p.cfg.N
-	all := PlaneMask(n)
-	present := in.Present & all
-	validity := in.Validity.normalized(all)
-
-	// rd was written in the previous round; wr becomes next round's rd.
-	rd := &p.pbufs[p.steps&1]
-	wr := &p.pbufs[(p.steps+1)&1]
+	all := p.allB
 
 	// The round's output — matrix planes, consistent health vector, outgoing
 	// syndrome, Send and Active — lives in its ring slot.
 	slot := p.slot()
 	matrix, consHV, outSyn := slot.m, slot.consHV, slot.outSyn
 
-	// Phases 1 and 3 — local detection and aggregation (read alignment,
-	// Alg. 1 lines 1-6): entries 1..l_i come from the previous read, the
-	// rest from the current one, so every aligned value refers to a message
-	// sent in round k-1. Under dynamic scheduling the read point is pinned
-	// to round start (l = 0). On planes the split is two mask merges.
-	l := p.cfg.L
-	if p.cfg.Dynamic {
-		l = 0
-	}
-	low := PlaneMask(l)
-	hi := all &^ low
-	alSet := (rd.set & low) | (present & hi)
-	alLS := BitSyndrome{
-		Op:    (rd.ls.Op & low) | (validity.Op & hi),
-		Known: (rd.ls.Known & low) | (validity.Known & hi),
-	}
-	wr.al = alLS
+	alSet, alLS := p.readAlign(in.Present, in.Validity)
 
 	out := RoundOutput{Round: in.Round, DiagnosedRound: -1}
 
@@ -651,31 +609,14 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 		if matrix.op == nil {
 			p.carvePlanes()
 		}
-		self := uint64(1) << uint(p.cfg.ID-1)
-		rowSet := (alSet &^ self) | self
-		for rem := rowSet; rem != 0; rem &= rem - 1 {
-			j := bits.TrailingZeros64(rem) + 1
-			var row BitSyndrome
-			switch {
-			case j == p.cfg.ID:
-				// This node's own row is its locally buffered copy of the
-				// syndrome it physically transmitted in round k-1 — available
-				// even when the transmission itself failed (Lemma 3).
-				row = p.ownRowP()
-			case j <= l:
-				row = rd.rows[j]
-			default:
-				row = in.Rows[j].normalized(all)
-			}
-			matrix.op[j] = row.Op
-			matrix.know[j] = row.Known
-		}
-		// Rows outside rowSet keep the slot's stale planes, which no accessor
-		// reads; the byte-level cache of the slot's previous round is dropped.
+		// The rows go straight into the slot's planes; the byte-level cache
+		// of the slot's previous round is dropped.
+		rowSet := p.installRows(matrix.op, matrix.know, alSet, in.Rows)
 		matrix.rowSet = rowSet
 		matrix.cells = nil
 
-		consBits := matrix.voteAllPlanes()
+		var consBits BitSyndrome
+		consBits.Op, consBits.Known = voteAllLanes(matrix.op, matrix.know, p.cfg.N, 1)
 		diagRound := in.Round - p.cfg.Lag()
 		// H-maj returned ⊥ on the columns outside consBits.Known: at least
 		// N-1 nodes could not send their syndromes. Only self-diagnosis can
@@ -701,6 +642,7 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 			// entry once it sees itself convicted (it is the accused party
 			// and must not counter-accuse rows carrying the other clique's
 			// verdict) — see accusationSkew and disagrees.
+			self := p.selfB
 			skip := p.guardMask()
 			if consBits.Op&self == 0 {
 				skip |= self
@@ -737,18 +679,7 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 		}
 	}
 
-	// Phase 2 — dissemination (send alignment, Alg. 1 lines 7-10): choose
-	// the syndrome whose transmission round keeps all disseminated
-	// syndromes referring to the same diagnosed round.
-	var outBits BitSyndrome
-	switch {
-	case p.cfg.AllSendCurrRound:
-		outBits = alLS
-	case p.cfg.SendCurrRound:
-		outBits = rd.al
-	default:
-		outBits = alLS
-	}
+	outBits := p.sendAlign(alLS)
 	if p.cfg.Mode == ModeMembership && p.accuseMask != 0 {
 		// Pending accusations force the accused entries to Faulty.
 		outBits.Op &^= p.accuseMask
@@ -770,25 +701,14 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 	// that visits only the columns voted faulty plus the nodes with live
 	// counters.
 	if out.ConsHV != nil {
-		out.Isolated, out.Reintegrated = p.pr.updateMasked(out.ConsHVBits.Known &^ out.ConsHVBits.Op)
+		iso, reint := p.pr.updateMasked(out.ConsHVBits.Known &^ out.ConsHVBits.Op)
+		out.Isolated, out.Reintegrated = maskNodes(iso), maskNodes(reint)
 	}
 	copy(slot.active, p.pr.active)
 	out.Active = slot.active
 	out.ActiveMask = p.pr.activeMask
 
-	// Buffering for the next round (Alg. 1 lines 16-17): copy this round's
-	// raw observations into the buffer the next step will read (two-word
-	// value copies for the present rows). wr.al already holds the aligned
-	// local syndrome; the sent syndrome is copied out of the ring slot.
-	wr.set = present
-	for rem := present; rem != 0; rem &= rem - 1 {
-		j := bits.TrailingZeros64(rem) + 1
-		wr.rows[j] = in.Rows[j].normalized(all)
-	}
-	wr.ls = validity
-	p.recordSent(outSyn)
-	p.prevSentP = p.lastSentP
-	p.lastSentP = outBits
+	p.endRound(in.Present, in.Validity, in.Rows, outBits)
 	if p.metrics != nil {
 		p.emitStepMetrics(&out, matrix, warm)
 	}
@@ -796,11 +716,19 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 		p.emitStepTrace(&out, warm)
 	}
 	p.ageAccusations()
-	p.steps++
 	if invariant.Enabled {
 		p.checkStepInvariants(out)
 	}
 	return out, nil
+}
+
+// maskNodes lists the nodes of a one-lane mask in ascending order (nil for
+// an empty mask), the slice form RoundOutput reports transitions in.
+func maskNodes(m uint64) (nodes []int) {
+	for ; m != 0; m &= m - 1 {
+		nodes = append(nodes, bits.TrailingZeros64(m)+1)
+	}
+	return nodes
 }
 
 // stepScalar is the byte-per-entry diagnostic job: the reference
@@ -871,7 +799,7 @@ func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
 				// This node's own row is its locally buffered copy of the
 				// syndrome it physically transmitted in round k-1 — available
 				// even when the transmission itself failed (Lemma 3).
-				row = p.ownRow()
+				row = p.scalar.ownRow(p.cfg.SendCurrRound)
 			}
 			if err := matrix.SetRow(j, row); err != nil {
 				return RoundOutput{}, err
@@ -981,7 +909,7 @@ func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
 		}
 	}
 	copy(wr.ls, in.Validity)
-	p.recordSent(outSyn)
+	p.scalar.recordSent(outSyn)
 	if p.metrics != nil {
 		p.emitStepMetrics(&out, matrix, warm)
 	}
@@ -994,14 +922,6 @@ func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
 		p.checkStepInvariants(out)
 	}
 	return out, nil
-}
-
-// recordSent shifts the dissemination history by one round: prevSent takes
-// over lastSent's buffer, and the syndrome just sent is copied into the
-// other one.
-func (p *Protocol) recordSent(sent Syndrome) {
-	p.prevSent, p.lastSent = p.lastSent, p.prevSent
-	copy(p.lastSent, sent)
 }
 
 // ageAccusations advances the skew-guard ages; counters saturated past the
@@ -1053,35 +973,13 @@ func (p *Protocol) rebuildAccusationMasks() {
 	}
 }
 
-// ownRow returns the syndrome this node physically transmitted in the
-// previous round: the last written payload when the node's job runs before
-// its sending slot, and the one before that otherwise (the write of round
-// k-1 is only transmitted in round k).
-func (p *Protocol) ownRow() Syndrome {
-	if p.cfg.SendCurrRound {
-		return p.lastSent
-	}
-	return p.prevSent
-}
-
-// ownRowP is ownRow on the packed path.
-func (p *Protocol) ownRowP() BitSyndrome {
-	if p.cfg.SendCurrRound {
-		return p.lastSentP
-	}
-	return p.prevSentP
-}
-
+// collisionVerdict is the local collision detector's verdict on this node's
+// transmission in round: Faulty only when the detector reports it.
 func (p *Protocol) collisionVerdict(fn CollisionFn, round int) Opinion {
-	if fn == nil {
-		return Healthy
-	}
-	switch fn(round) {
-	case Faulty:
+	if fn != nil && fn(round) == Faulty {
 		return Faulty
-	default:
-		return Healthy
 	}
+	return Healthy
 }
 
 // disagrees reports whether row (node j's local syndrome) conflicts with the

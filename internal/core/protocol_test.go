@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"ttdiag/internal/rng"
@@ -615,6 +617,74 @@ func TestProtocolDeterminism(t *testing.T) {
 		if (outA.ConsHV == nil) != (outB.ConsHV == nil) ||
 			(outA.ConsHV != nil && !outA.ConsHV.Equal(outB.ConsHV)) {
 			t.Fatalf("round %d: cons_hv divergence", k)
+		}
+	}
+}
+
+// TestResetConfigMatchesFresh requires a protocol reset onto another
+// configuration — read point, dynamic scheduling, send alignment, node id,
+// mode — to step byte-identically to a freshly built one: the same outputs
+// and the same snapshot bytes on every round. The lane masks the packed
+// path derives from ID, L and Dynamic must be rebuilt by the reset.
+func TestResetConfigMatchesFresh(t *testing.T) {
+	for _, n := range []int{4, 64} {
+		pr := PRConfig{PenaltyThreshold: 2, RewardThreshold: 3}
+		base := Config{N: n, ID: 2, L: 1, SendCurrRound: true, PR: pr}
+		for _, tc := range []struct {
+			name   string
+			target Config
+		}{
+			{"read_after_slot", Config{N: n, ID: 2, L: n - 1, PR: pr}},
+			{"dynamic", Config{N: n, ID: 2, L: n - 1, Dynamic: true, SendCurrRound: true, PR: pr}},
+			{"all_send_curr", Config{N: n, ID: 2, L: 1, SendCurrRound: true, AllSendCurrRound: true, PR: pr}},
+			{"other_node", Config{N: n, ID: n, L: 0, SendCurrRound: true, StartRound: 7, PR: pr}},
+			{"membership", Config{N: n, ID: 2, L: 1, SendCurrRound: true, Mode: ModeMembership,
+				PR: PRConfig{PenaltyThreshold: 1, RewardThreshold: 2, ReintegrationThreshold: 4}}},
+		} {
+			target := tc.target
+			t.Run(fmt.Sprintf("n%d_%s", n, tc.name), func(t *testing.T) {
+				st := rng.NewStream(int64(77 + n))
+				reused, err := NewProtocol(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < 7; r++ {
+					if _, err := reused.Step(randomStepInput(st, n, r)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := reused.ResetConfig(target); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewProtocol(target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < 24; r++ {
+					round := target.StartRound + r
+					in := randomStepInput(st, n, round)
+					got, err := reused.Step(in)
+					if err != nil {
+						t.Fatalf("round %d: reused: %v", round, err)
+					}
+					want, err := fresh.Step(in)
+					if err != nil {
+						t.Fatalf("round %d: fresh: %v", round, err)
+					}
+					diffRoundOutputs(t, fmt.Sprintf("round %d (reused vs fresh)", round), got, want)
+					gotSnap, err := reused.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantSnap, err := fresh.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(gotSnap, wantSnap) {
+						t.Fatalf("round %d: snapshot diverged:\nreused %s\nfresh  %s", round, gotSnap, wantSnap)
+					}
+				}
+			})
 		}
 	}
 }

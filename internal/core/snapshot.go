@@ -35,45 +35,74 @@ type prSnapshot struct {
 // buffers, accusation state and penalty/reward counters) to JSON. The wire
 // format is unchanged from the pre-double-buffering layout: only the buffer
 // the next Step will read (the previous round's observations) is captured.
+// The packed representation materialises to the exact scalar form, so the
+// bytes do not depend on the representation.
 func (p *Protocol) Snapshot() ([]byte, error) {
+	if p.packed {
+		return json.Marshal(p.snapshot(0, p.pr, p.accuse, p.accusedAge))
+	}
+	n := p.cfg.N
+	rd := &p.scalar.bufs[p.steps&1]
 	snap := protocolSnapshot{
 		Config:     p.cfg,
 		Steps:      p.steps,
-		LastSent:   p.lastSent,
-		PrevSent:   p.prevSent,
+		PR:         p.pr.snapshot(0),
+		PrevDM:     make(map[int]Syndrome),
+		PrevLS:     rd.ls,
+		PrevAlLS:   rd.al,
+		LastSent:   p.scalar.lastSent,
+		PrevSent:   p.scalar.prevSent,
 		Accuse:     p.accuse,
 		AccusedAge: p.accusedAge,
-		PR: prSnapshot{
-			Penalties: p.pr.penalties,
-			Rewards:   p.pr.rewards,
-			Active:    p.pr.active,
-			Observe:   p.pr.observe,
-		},
 	}
-	snap.PrevDM = make(map[int]Syndrome)
-	n := p.cfg.N
-	if p.packed {
-		// The packed alignment state materialises to the exact scalar form:
-		// the JSON bytes are identical to a scalar-path snapshot.
-		rd := &p.pbufs[p.steps&1]
-		snap.PrevLS = rd.ls.Unpack(n)
-		snap.PrevAlLS = rd.al.Unpack(n)
-		for j := 1; j <= n; j++ {
-			if rd.set&(1<<uint(j-1)) != 0 {
-				snap.PrevDM[j] = rd.rows[j].Unpack(n)
-			}
-		}
-	} else {
-		rd := &p.scalar.bufs[p.steps&1]
-		snap.PrevLS = rd.ls
-		snap.PrevAlLS = rd.al
-		for j := 1; j <= n; j++ {
-			if rd.set[j] {
-				snap.PrevDM[j] = rd.dm[j]
-			}
+	for j := 1; j <= n; j++ {
+		if rd.set[j] {
+			snap.PrevDM[j] = rd.dm[j]
 		}
 	}
 	return json.Marshal(snap)
+}
+
+// snapshot materialises lane `lane`'s kernel state, with the given
+// penalty/reward and accusation state, in the Snapshot wire form.
+func (k *laneKernel) snapshot(lane int, pr *PenaltyReward, accuse, age []int) protocolSnapshot {
+	n := k.cfg.N
+	rd := &k.bufs[k.steps&1]
+	snap := protocolSnapshot{
+		Config:     k.cfg,
+		Steps:      k.steps,
+		PR:         pr.snapshot(lane),
+		PrevDM:     make(map[int]Syndrome),
+		PrevLS:     k.laneSyndrome(rd.ls, lane),
+		PrevAlLS:   k.laneSyndrome(rd.al, lane),
+		LastSent:   k.laneSyndrome(k.lastSent, lane),
+		PrevSent:   k.laneSyndrome(k.prevSent, lane),
+		Accuse:     accuse,
+		AccusedAge: age,
+	}
+	for j := 1; j <= n; j++ {
+		if rd.set&(1<<uint(lane*n+j-1)) != 0 {
+			snap.PrevDM[j] = k.laneSyndrome(rd.rows[j], lane)
+		}
+	}
+	return snap
+}
+
+// laneSyndrome materialises lane `lane`'s segment of a lane-packed syndrome.
+func (k *laneKernel) laneSyndrome(b BitSyndrome, lane int) Syndrome {
+	n := k.cfg.N
+	return BitSyndrome{Op: laneExtract(b.Op, lane, n), Known: laneExtract(b.Known, lane, n)}.Unpack(n)
+}
+
+// snapshot views lane `lane`'s counter block (no copy).
+func (pr *PenaltyReward) snapshot(lane int) prSnapshot {
+	lo, hi := lane*(pr.n+1), (lane+1)*(pr.n+1)
+	return prSnapshot{
+		Penalties: pr.penalties[lo:hi:hi],
+		Rewards:   pr.rewards[lo:hi:hi],
+		Active:    pr.active[lo:hi:hi],
+		Observe:   pr.observe[lo:hi:hi],
+	}
 }
 
 // RestoreProtocol rebuilds a protocol instance from a Snapshot. The restored
@@ -100,28 +129,21 @@ func RestoreProtocol(data []byte) (*Protocol, error) {
 	}
 	snap := wire.protocolSnapshot
 	snap.Steps = *wire.Steps
-	p, err := NewProtocol(snap.Config)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore: %w", err)
-	}
+	// Every state vector is checked against N before the protocol is built,
+	// and the fixed-size ones first, so N — and with it the buffers
+	// NewProtocol sizes and the loops below — stays bounded by the input.
 	n := snap.Config.N
-	check := func(name string, s Syndrome) error {
-		if s.N() != n {
-			return fmt.Errorf("core: restore: %s covers %d nodes, want %d", name, s.N(), n)
-		}
-		return nil
-	}
-	// Iterated as an ordered slice, not a map: which syndrome's error is
+	// Checked as an ordered slice, not a map: which syndrome's error is
 	// reported must not depend on map-iteration order (no-map-range-state).
-	for _, it := range []struct {
+	for _, v := range []struct {
 		name string
 		s    Syndrome
 	}{
 		{"prevLS", snap.PrevLS}, {"prevAlLS", snap.PrevAlLS},
 		{"lastSent", snap.LastSent}, {"prevSent", snap.PrevSent},
 	} {
-		if err := check(it.name, it.s); err != nil {
-			return nil, err
+		if v.s.N() != n {
+			return nil, fmt.Errorf("core: restore: %s covers %d nodes, want %d", v.name, v.s.N(), n)
 		}
 	}
 	if len(snap.Accuse) != n+1 || len(snap.AccusedAge) != n+1 {
@@ -131,44 +153,46 @@ func RestoreProtocol(data []byte) (*Protocol, error) {
 		len(snap.PR.Active) != n+1 || len(snap.PR.Observe) != n+1 {
 		return nil, fmt.Errorf("core: restore: penalty/reward state has wrong size")
 	}
+	for j := 1; j <= n; j++ {
+		if dm, ok := snap.PrevDM[j]; ok && dm.N() != n {
+			return nil, fmt.Errorf("core: restore: prevDM covers %d nodes, want %d", dm.N(), n)
+		}
+	}
+	p, err := NewProtocol(snap.Config)
+	if err != nil {
+		return nil, fmt.Errorf("core: restore: %w", err)
+	}
 	p.steps = snap.Steps
-	p.lastSent = snap.LastSent
-	p.prevSent = snap.PrevSent
 	p.accuse = snap.Accuse
 	p.accusedAge = snap.AccusedAge
 	// Fill the buffer the next Step will read; the other buffer is dead
 	// state (it is fully rewritten before it is ever read again).
 	if p.packed {
-		rd := &p.pbufs[p.steps&1]
+		rd := &p.bufs[p.steps&1]
 		rd.ls = packSyndrome(snap.PrevLS)
 		rd.al = packSyndrome(snap.PrevAlLS)
 		rd.set = 0
 		for j := 1; j <= n; j++ {
 			if dm, ok := snap.PrevDM[j]; ok {
-				if err := check("prevDM", dm); err != nil {
-					return nil, err
-				}
 				rd.rows[j] = packSyndrome(dm)
 				rd.set |= 1 << uint(j-1)
 			}
 		}
-		p.lastSentP = packSyndrome(snap.LastSent)
-		p.prevSentP = packSyndrome(snap.PrevSent)
+		p.lastSent = packSyndrome(snap.LastSent)
+		p.prevSent = packSyndrome(snap.PrevSent)
 	} else {
 		rd := &p.scalar.bufs[p.steps&1]
 		copy(rd.ls, snap.PrevLS)
 		copy(rd.al, snap.PrevAlLS)
 		for j := 1; j <= n; j++ {
-			if dm, ok := snap.PrevDM[j]; ok {
-				if err := check("prevDM", dm); err != nil {
-					return nil, err
-				}
+			dm, ok := snap.PrevDM[j]
+			rd.set[j] = ok
+			if ok {
 				copy(rd.dm[j], dm)
-				rd.set[j] = true
-			} else {
-				rd.set[j] = false
 			}
 		}
+		p.scalar.lastSent = snap.LastSent
+		p.scalar.prevSent = snap.PrevSent
 	}
 	p.rebuildAccusationMasks()
 	p.pr.penalties = snap.PR.Penalties

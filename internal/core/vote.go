@@ -76,7 +76,9 @@ type Matrix struct {
 	cells Syndrome
 	// op/know are the packed row planes (1-based; nil on scalar matrices —
 	// op != nil is the representation discriminator), rowSet the presence
-	// mask (bit j-1 set iff row j is non-ε).
+	// mask (bit j-1 set iff row j is non-ε). Rows outside rowSet hold zero
+	// planes, so the vote kernel can sweep every row without consulting
+	// rowSet.
 	op     []uint64
 	know   []uint64
 	rowSet uint64
@@ -269,7 +271,7 @@ func (m *Matrix) BitRow(j int) (BitSyndrome, bool) {
 }
 
 // Opinion returns accuser's opinion about accused, Erased when the accuser's
-// row is ε.
+// row is ε or either index lies outside 1..N.
 func (m *Matrix) Opinion(accuser, accused int) Opinion {
 	if m.op != nil {
 		if accuser < 1 || accuser > m.n || m.rowSet&(1<<uint(accuser-1)) == 0 {
@@ -278,7 +280,7 @@ func (m *Matrix) Opinion(accuser, accused int) Opinion {
 		return BitSyndrome{Op: m.op[accuser], Known: m.know[accuser]}.Get(accused)
 	}
 	row := m.Row(accuser)
-	if row == nil {
+	if row == nil || accused < 1 || accused > m.n {
 		return Erased
 	}
 	return row[accused]
@@ -387,7 +389,8 @@ func (m *Matrix) DisagreementCount(consHV Syndrome) int {
 // beyond MaxPackedN it fails (a 64-bit result cannot cover the columns).
 func (m *Matrix) VoteAll() (BitSyndrome, error) {
 	if m.op != nil {
-		return m.voteAllPlanes(), nil
+		op, known := voteAllLanes(m.op, m.know, m.n, 1)
+		return BitSyndrome{Op: op, Known: known}, nil
 	}
 	if m.n > MaxPackedN {
 		return BitSyndrome{}, fmt.Errorf("core: VoteAll result is one machine word, N = %d > %d; vote per column instead", m.n, MaxPackedN)
@@ -409,33 +412,36 @@ func addPlane(cnt *[countPlanes]uint64, mask uint64) {
 	}
 }
 
-// voteAllPlanes is the word-parallel voting kernel: every set row
+// voteAllLanes is the word-parallel voting kernel, over every column of G
+// lane-packed matrices at once (G = 1 for a single matrix): every row
 // contributes its healthy and faulty opinion masks (self-opinion column
-// removed per Sec. 5) to two bit-sliced per-column counters, and the final
-// Faulty verdicts fall out of one bit-sliced comparison — the borrow of the
-// 6-bit subtraction healthy − faulty, computed with the full-subtractor
-// recurrence borrow' = (¬h ∧ (f ∨ borrow)) ∨ (f ∧ borrow). Columns with no
-// contribution at all are ⊥, and ties land on Healthy because a tie produces
-// no borrow — exactly Eqn. 1.
-func (m *Matrix) voteAllPlanes() BitSyndrome {
-	all := PlaneMask(m.n)
+// removed per Sec. 5, replicated into every lane by laneRep) to two
+// bit-sliced per-column counters, and the final Faulty verdicts fall out of
+// one bit-sliced comparison — the borrow of the 6-bit subtraction
+// healthy − faulty, computed with the full-subtractor recurrence
+// borrow' = (¬h ∧ (f ∨ borrow)) ∨ (f ∧ borrow). Columns with no contribution
+// at all are ⊥, and ties land on Healthy because a tie produces no borrow —
+// exactly Eqn. 1. op/know are 1-based planes restricted to the live lanes
+// (absent rows carry zero know segments); per-column counts stay ≤ N-1 ≤ 63,
+// so the six counter planes cover every lane. Lane-exact equivalence with
+// the per-column reference is pinned by FuzzVoteAll and FuzzVoteAllBatch.
+func voteAllLanes(op, know []uint64, n int, laneRep uint64) (consOp, consKnown uint64) {
 	var healthy, faulty [countPlanes]uint64
 	var any uint64
-	for rows := m.rowSet; rows != 0; rows &= rows - 1 {
-		i := bits.TrailingZeros64(rows) + 1
-		valid := m.know[i] & all &^ (uint64(1) << uint(i-1))
+	for i := 1; i <= n; i++ {
+		valid := know[i] &^ (laneRep << uint(i-1))
 		if valid == 0 {
 			continue
 		}
 		any |= valid
-		addPlane(&healthy, m.op[i]&valid)
-		addPlane(&faulty, valid&^m.op[i])
+		addPlane(&healthy, op[i]&valid)
+		addPlane(&faulty, valid&^op[i])
 	}
 	var borrow uint64
 	for k := 0; k < countPlanes; k++ {
 		borrow = (^healthy[k] & (faulty[k] | borrow)) | (faulty[k] & borrow)
 	}
-	return BitSyndrome{Op: any &^ borrow, Known: any}
+	return any &^ borrow, any
 }
 
 // voteAllScalar is the reference implementation of VoteAll: the per-column

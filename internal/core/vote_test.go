@@ -236,3 +236,37 @@ func TestMatrixN(t *testing.T) {
 		t.Fatalf("N() = %d", got)
 	}
 }
+
+// TestMatrixOutOfRangeColumn pins that both storage representations answer
+// a column index outside 1..N alike: Erased opinions, an empty tally, a ⊥
+// vote and a column of N Erased entries.
+func TestMatrixOutOfRangeColumn(t *testing.T) {
+	for _, n := range []int{4, 65} {
+		m := NewMatrix(n)
+		for j := 1; j <= n; j++ {
+			if err := m.SetRow(j, NewSyndrome(n, Healthy)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, col := range []int{-1, 0, n + 1, 66} {
+			if got := m.Opinion(1, col); got != Erased {
+				t.Errorf("N=%d: Opinion(1, %d) = %v, want ε", n, col, got)
+			}
+			if f, h := m.Tally(col); f != 0 || h != 0 {
+				t.Errorf("N=%d: Tally(%d) = (%d, %d), want (0, 0)", n, col, f, h)
+			}
+			if v, ok := m.Vote(col); ok {
+				t.Errorf("N=%d: Vote(%d) = %v, want ⊥", n, col, v)
+			}
+			votes := m.Column(col)
+			if len(votes) != n {
+				t.Errorf("N=%d: Column(%d) has %d entries, want %d", n, col, len(votes), n)
+			}
+			for i, v := range votes {
+				if v != Erased {
+					t.Errorf("N=%d: Column(%d)[%d] = %v, want ε", n, col, i, v)
+				}
+			}
+		}
+	}
+}
